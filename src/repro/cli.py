@@ -39,7 +39,7 @@ from typing import Sequence
 
 from repro.analysis import classify_scaling, domain_efficiency
 from repro.harness import ascii_table, run, scaling_sweep
-from repro.machine import get_cluster
+from repro.machine import calibrated, get_cluster
 from repro.spechpc import SUITE_ORDER, all_benchmarks, get_benchmark
 from repro.units import GB, fmt_energy, fmt_power, fmt_time
 
@@ -417,15 +417,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         node_counts = [1, 2, 4, 8, 16, 32, 64]
     suite = args.suite or (scenario.suite if scenario else None) or "tiny"
-    # golden truth and the surrogate corpus describe the *registry*
-    # clusters at nominal clock; a zoo machine or a re-clocked scenario
-    # must neither be compared against them nor corrected by them
-    calibrated = scenario is None or args.cluster is not None or (
-        scenario.cluster in ("A", "B", "ClusterA", "ClusterB")
-        and (scenario.frequency is None
-             or scenario.frequency.canonical_record(
-                 clusters[0][1].node.cpu.nominal_clock_hz) is None)
-    )
 
     # reference corpus: DES ground truth for the error-bar column (and
     # the surrogate's training data)
@@ -440,20 +431,21 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     for bname in benchmarks:
         for cname, cluster in clusters:
+            # golden truth describes the calibrated machines only
+            registry_name = calibrated(cluster)
             for nnodes in node_counts:
                 spec = PredictionSpec(
                     benchmark=bname, cluster=cluster.name, nnodes=nnodes,
                     suite=suite, cluster_obj=cluster,
                 )
                 pred = predict(
-                    spec, tier=args.tier,
-                    corpus=corpus if calibrated else None,
+                    spec, tier=args.tier, corpus=corpus,
                     allow_des=not args.no_des,
                 )
                 ref = truth.get((
-                    bname, cluster.name, suite,
+                    bname, registry_name, suite,
                     nnodes * cluster.cores_per_node,
-                )) if calibrated else None
+                ))
                 if ref is not None and pred.tier != "des":
                     err = pred.runtime / ref.elapsed - 1.0
                     ok = abs(err) <= pred.band

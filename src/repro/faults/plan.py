@@ -21,6 +21,7 @@ across process boundaries.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -161,6 +162,12 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         return not (self.slow_ranks or self.os_noise or self.links or self.crashes)
+
+    @property
+    def digest(self) -> str:
+        """The plan's identity in every run key: a short SHA-256 of its
+        canonical JSON."""
+        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
     def validate_for(self, nprocs: int) -> None:
         """Check every referenced rank exists in an ``nprocs``-rank job."""

@@ -10,7 +10,6 @@ checkpoint/resume) — see :mod:`repro.harness.parallel`.
 
 from repro.harness.checkpoint import (
     compact,
-    fsync_dir,
     load_checkpoint,
     load_journal,
     spec_key,
@@ -27,6 +26,7 @@ from repro.harness.results import FailedRun, RunResult, ScalingPoint, ScalingSer
 from repro.harness.runner import engine_run_count, run
 from repro.harness.sweep import domain_fill_counts, node_counts, scaling_sweep
 from repro.harness.report import ascii_plot, ascii_table, fmt_float
+from repro.journal import fsync_dir
 
 __all__ = [
     "run",

@@ -7,8 +7,8 @@ share the file:
   digest of the point's :class:`~repro.harness.parallel.RunSpec`.  A
   killed sweep re-run with the same checkpoint path restores every
   recorded point without re-simulating it and continues from the first
-  missing one; points whose spec changed (different seed, suite, fault
-  plan, ...) get fresh keys and re-run automatically.
+  missing one; points whose spec changed (different machine, seed,
+  suite, fault plan, ...) get fresh keys and re-run automatically.
 * ``event`` — a work-state transition journaled by the fabric manager
   (``lease`` / ``requeue`` / ``complete`` / ``failed`` / ``timeout`` /
   ``duplicate``).  Events are observability for crash forensics: after a
@@ -21,215 +21,106 @@ are retried — the common reason to resume is that whatever killed the
 sweep (OOM, a node reboot, a buggy fault plan since fixed) has been
 addressed.
 
-The format is append-only and crash-tolerant: a truncated final line
-(killed mid-write) is skipped on load.  Appends are last-record-wins, so
-a key written twice (a point re-run after a partial resume) resolves to
-the newest result; :func:`compact` rewrites the file atomically with one
-line per completed key and no events — :func:`~repro.harness.parallel.
-run_many` invokes it on every resume so checkpoint files do not grow
-without bound across retry/resume cycles.
+The file is a :class:`repro.journal.Journal`; :func:`compact` folds it
+to one line per completed key and no events, on every
+:func:`~repro.harness.parallel.run_many` resume.
 
-Schema history: version 1 records (``{"version": 1, "key": ..., and
-"result": ...}``) are still read; new records carry ``"schema": 2`` and
-an explicit ``"kind"``.
+Schema history: 3 added the machine digest to :func:`spec_key`.  Records
+of older schemas are rejected on load, so their points re-run — the old
+keys could not tell a re-clocked machine from the nominal one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from typing import Any
 
-__all__ = [
-    "CHECKPOINT_SCHEMA",
-    "ACCEPTED_SCHEMAS",
-    "CHECKPOINT_VERSION",
-    "spec_key",
-    "load_checkpoint",
-    "load_journal",
-    "append_checkpoint",
-    "append_event",
-    "compact",
-    "fsync_dir",
-]
-
 from repro.harness.results import RunResult
+from repro.journal import Journal
 
-#: Schema stamp written with every new record (bump on incompatible change).
-CHECKPOINT_SCHEMA = 2
-#: Schemas the loader accepts (1 = the original result-only format).
-ACCEPTED_SCHEMAS = (1, 2)
-#: Back-compat alias for the original name.
-CHECKPOINT_VERSION = CHECKPOINT_SCHEMA
-
-
-def fsync_dir(path: str) -> None:
-    """fsync the directory containing ``path``.
-
-    ``os.replace`` makes the new name visible, but only a directory
-    fsync makes the *rename itself* durable — without it a crash after
-    an fsynced-temp-then-replace can resurrect the replaced file (the
-    data blocks survived, the directory entry update did not).  On
-    platforms without ``os.O_DIRECTORY`` (Windows) this degrades to a
-    no-op, matching fsync semantics there.
-    """
-    dirname = os.path.dirname(os.path.abspath(path))
-    flag = getattr(os, "O_DIRECTORY", None)
-    if flag is None:  # pragma: no cover - POSIX-only guard
-        return
-    dirfd = os.open(dirname, os.O_RDONLY | flag)
-    try:
-        os.fsync(dirfd)
-    finally:
-        os.close(dirfd)
+#: Schema stamp written with every record (bump on incompatible change).
+CHECKPOINT_SCHEMA = 3
 
 
 def spec_key(spec: Any) -> str:
     """Stable identity digest of a RunSpec (duck-typed: any object with
-    the spec's fields works)."""
+    the spec's fields works).  The cluster enters by label *and* machine
+    digest: a DVFS re-clock keeps the label but not the machine."""
     faults = getattr(spec, "faults", None)
-    fault_part = "-" if faults is None else hashlib.sha256(
-        faults.to_json().encode()
-    ).hexdigest()[:16]
     raw = "|".join(
         str(x)
         for x in (
             spec.benchmark.name,
             spec.cluster.name,
+            spec.cluster.machine_digest,
             spec.nprocs,
             spec.suite,
             spec.sim_steps,
             spec.noise_sigma,
             spec.seed,
             spec.threads_per_rank,
-            fault_part,
+            "-" if faults is None else faults.digest,
         )
     )
     return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
 
-def _parse_line(line: str) -> dict[str, Any] | None:
-    """One JSONL line -> normalized ``{"kind": ..., "key": ..., ...}``
-    doc, or ``None`` for blank/corrupt/unknown-schema lines."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        doc = json.loads(line)
-        schema = doc.get("schema", doc.get("version"))
-        if schema not in ACCEPTED_SCHEMAS:
-            return None
-        kind = doc.get("kind", "result")  # schema-1 records are results
-        if kind == "result":
-            return {
-                "kind": "result",
-                "key": doc["key"],
-                "result": RunResult.from_checkpoint_dict(doc["result"]),
-            }
-        if kind == "event":
-            out = {k: v for k, v in doc.items() if k != "schema"}
-            out["key"]  # events must be keyed
-            return out
-        return None
-    except (ValueError, KeyError, TypeError):
-        # truncated/corrupt trailing line from a killed writer: skip it
-        return None
+def _decode(doc: dict) -> tuple[str, RunResult] | None:
+    if doc["kind"] == "event":
+        doc["key"]  # events must be keyed
+        return None  # valid, but compaction drops it
+    if doc["kind"] != "result":
+        raise ValueError(f"unknown record kind {doc['kind']!r}")
+    return doc["key"], RunResult.from_checkpoint_dict(doc["result"])
+
+
+#: The checkpoint record format (its :meth:`~repro.journal.Journal.load`
+#: also reports rejected lines).
+JOURNAL = Journal(CHECKPOINT_SCHEMA, _decode)
 
 
 def load_checkpoint(path: str) -> dict[str, RunResult]:
     """Read every valid result record (last record wins per key);
     missing file means an empty checkpoint."""
-    if not os.path.exists(path):
-        return {}
-    records: dict[str, RunResult] = {}
-    with open(path) as fh:
-        for line in fh:
-            doc = _parse_line(line)
-            if doc is not None and doc["kind"] == "result":
-                records[doc["key"]] = doc["result"]
-    return records
+    return JOURNAL.load(path).records
 
 
 def load_journal(path: str) -> list[dict[str, Any]]:
     """Read every valid event record, in file (= chronological) order."""
-    if not os.path.exists(path):
-        return []
     events: list[dict[str, Any]] = []
-    with open(path) as fh:
-        for line in fh:
-            doc = _parse_line(line)
-            if doc is not None and doc["kind"] == "event":
-                events.append(doc)
+
+    def collect(doc: dict) -> None:
+        if doc["kind"] == "event":
+            doc["key"]  # events must be keyed
+            del doc["schema"]
+            events.append(doc)
+
+    Journal(CHECKPOINT_SCHEMA, collect).load(path)
     return events
 
 
 def append_checkpoint(path: str, key: str, result: RunResult) -> None:
     """Durably append one completed point."""
-    record = {
-        "schema": CHECKPOINT_SCHEMA,
-        "kind": "result",
-        "key": key,
-        "result": result.to_checkpoint_dict(),
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    JOURNAL.append(path, {
+        "kind": "result", "key": key, "result": result.to_checkpoint_dict(),
+    })
 
 
 def append_event(path: str, event: str, key: str, **fields: Any) -> None:
     """Append one work-state transition (lease/requeue/complete/...).
 
-    Events are flushed but not fsynced: they are forensic breadcrumbs,
-    not the source of truth for resume — losing the tail of the journal
-    in a crash costs nothing but detail in the post-mortem.
+    Events are not fsynced: they are forensic breadcrumbs, not the
+    source of truth for resume — losing the tail of the journal in a
+    crash costs nothing but detail in the post-mortem.
     """
-    record = {
-        "schema": CHECKPOINT_SCHEMA,
-        "kind": "event",
-        "event": event,
-        "key": key,
-        **fields,
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")
-        fh.flush()
+    JOURNAL.append(
+        path, {"kind": "event", "event": event, "key": key, **fields},
+        sync=False,
+    )
 
 
 def compact(path: str) -> int:
-    """Atomically rewrite ``path`` with one result line per key.
-
-    Keeps the *last* result per key (the newest re-run wins), drops
-    transient event records and corrupt lines, and replaces the file via
-    an fsynced temporary so a crash mid-compaction leaves either the old
-    or the new file — never a torn one.  Returns the number of result
-    records kept.  A missing file is a no-op.
-    """
-    if not os.path.exists(path):
-        return 0
-    records: dict[str, RunResult] = {}
-    with open(path) as fh:
-        for line in fh:
-            doc = _parse_line(line)
-            if doc is not None and doc["kind"] == "result":
-                # dict insertion order keeps first-completion order while
-                # the assignment keeps the newest record per key
-                records[doc["key"]] = doc["result"]
-    tmp = path + ".compact.tmp"
-    with open(tmp, "w") as fh:
-        for key, result in records.items():
-            fh.write(json.dumps({
-                "schema": CHECKPOINT_SCHEMA,
-                "kind": "result",
-                "key": key,
-                "result": result.to_checkpoint_dict(),
-            }) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    # the temp file's bytes are durable, but the rename is not until the
-    # directory entry is too — without this a crash can resurrect the
-    # pre-compact file
-    fsync_dir(path)
-    return len(records)
+    """Atomically fold ``path`` to one result line per key (the newest
+    re-run wins; events and corrupt lines are dropped).  Returns the
+    number of result records kept; a missing file is a no-op."""
+    return JOURNAL.compact(path)

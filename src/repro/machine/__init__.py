@@ -23,6 +23,7 @@ from repro.machine.registry import (
     ICE_LAKE_8360Y,
     SANDY_BRIDGE_NODE,
     SAPPHIRE_RAPIDS_8470,
+    calibrated,
     get_cluster,
 )
 
@@ -40,5 +41,6 @@ __all__ = [
     "ICE_LAKE_8360Y",
     "SAPPHIRE_RAPIDS_8470",
     "SANDY_BRIDGE_NODE",
+    "calibrated",
     "get_cluster",
 ]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any
 
 from repro.machine.network import NetworkSpec
 from repro.machine.node import CoreLocation, NodeSpec
@@ -24,6 +28,16 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
+
+    @cached_property
+    def machine_digest(self) -> str:
+        """SHA-256 over :func:`canonical_cluster_record`: the machine's
+        identity in every checkpoint, corpus and serve key.  Equal
+        machines share it whatever they are called; a DVFS re-clock,
+        which keeps the name, changes it."""
+        record = canonical_cluster_record(self)
+        payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     @property
     def cores_per_node(self) -> int:
@@ -77,3 +91,59 @@ class ClusterSpec:
             f"{self.network.link_bandwidth * 8 / 1e9:.0f} Gbit/s per link+direction",
         ]
         return "\n".join(lines)
+
+
+def _hx(value: float) -> str:
+    return float(value).hex()
+
+
+def canonical_cluster_record(cluster: ClusterSpec) -> dict[str, Any]:
+    """Every parameter that can move a simulated result, floats
+    hex-encoded (exact, platform-free).  Pure labels (cluster/CPU names,
+    ISA string, launch year, extras, cache-level names) are excluded, so
+    equal machines digest equally regardless of what they are called,
+    and so is ``max_nodes``: a capacity bound that query resolution
+    raises to fit, which never moves a result."""
+    cpu = cluster.node.cpu
+    levels = [
+        {
+            "capacity": _hx(lvl.capacity_bytes),
+            "shared_by_cores": lvl.shared_by_cores,
+            "bandwidth_per_core": _hx(lvl.bandwidth_per_core),
+            "victim": lvl.victim,
+        }
+        for lvl in cpu.hierarchy.levels()
+    ]
+    net = cluster.network
+    return {
+        "sockets": cluster.node.sockets,
+        "memory_bytes": _hx(cluster.node.memory_bytes),
+        "cpu": {
+            "base_clock_hz": _hx(cpu.base_clock_hz),
+            "nominal_clock_hz": _hx(cpu.nominal_clock_hz),
+            "cores": cpu.cores,
+            "numa_domains": cpu.numa_domains,
+            "simd_width_dp": cpu.simd_width_dp,
+            "fma_units": cpu.fma_units,
+            "memory_channels": cpu.memory_channels,
+            "memory_transfer_rate": _hx(cpu.memory_transfer_rate),
+            "memory_bus_bytes": cpu.memory_bus_bytes,
+            "sustained_bw_fraction": _hx(cpu.sustained_bw_fraction),
+            "single_core_mem_bw": _hx(cpu.single_core_mem_bw),
+            "tdp_w": _hx(cpu.tdp_w),
+            "idle_power_w": _hx(cpu.idle_power_w),
+            "dram_idle_power_w": _hx(cpu.dram_idle_power_w),
+            "dram_power_per_gbs": _hx(cpu.dram_power_per_gbs),
+            "caches": levels,
+        },
+        "network": {
+            "link_bandwidth": _hx(net.link_bandwidth),
+            "efficiency": _hx(net.efficiency),
+            "latency": _hx(net.latency),
+            "intra_node_bandwidth": _hx(net.intra_node_bandwidth),
+            "intra_node_latency": _hx(net.intra_node_latency),
+            "eager_threshold": net.eager_threshold,
+            "rendezvous_handshake": _hx(net.rendezvous_handshake),
+            "per_message_overhead": _hx(net.per_message_overhead),
+        },
+    }

@@ -169,6 +169,23 @@ def get_cluster(name: str) -> ClusterSpec:
     raise KeyError(f"unknown cluster {name!r}; valid names: {valid + zoo}")
 
 
+def calibrated(cluster: ClusterSpec) -> str | None:
+    """The registry name of the calibrated machine ``cluster`` *is* —
+    ``"ClusterA"`` or ``"ClusterB"`` when its machine digest matches
+    (whatever it is called, whatever its ``max_nodes``) — else ``None``.
+
+    The golden corpus, the surrogate corpus and the analytic bands
+    describe those two machines at their nominal clock, so this is the
+    one rule for which queries may be checked against, corrected by, or
+    fed into them: a zoo copy of ClusterA is calibrated, a re-clocked
+    ClusterA (which keeps the name) is not.
+    """
+    for ref in (CLUSTER_A, CLUSTER_B):
+        if cluster.machine_digest == ref.machine_digest:
+            return ref.name
+    return None
+
+
 def theoretical_ratio_summary() -> dict[str, float]:
     """The headline hardware ratios the paper derives from Table 3.
 

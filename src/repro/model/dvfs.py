@@ -113,8 +113,9 @@ def apply_frequency(
     """``cluster`` with every node re-clocked to ``frequency_hz``.
 
     The cluster keeps its name (a DVFS point is an operating condition
-    of the same machine, not a new machine); scenario digests hash the
-    resolved parameters, so distinct frequencies still key distinctly.
+    of the same machine, not a new machine); every identity key hashes
+    the :attr:`~repro.machine.cluster.ClusterSpec.machine_digest` too,
+    so distinct frequencies still key distinctly.
     Identity (the same object back) at nominal frequency and uncore.
     """
     node = scale_node(cluster.node, frequency_hz, uncore_ratio)

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Protocol
 
-from repro.machine.registry import get_cluster
+from repro.machine.registry import calibrated, get_cluster
 from repro.perfmon.rapl import EnergyReading
 from repro.predict.analytic import SAMPLE_LIMIT, AnalyticEstimate, analytic_prediction
 from repro.predict.corpus import CorpusSample, PredictionCorpus
@@ -171,7 +171,10 @@ class AnalyticPredictionTier:
 
 
 class SurrogatePredictionTier:
-    """Tier B: answers when the corpus has the query's scaling curve."""
+    """Tier B: answers when the corpus has the query's scaling curve —
+    and the query runs on the calibrated machine that curve was measured
+    on (:func:`repro.machine.calibrated`; a re-clocked ClusterA keeps
+    the name but not the machine)."""
 
     name = "surrogate"
 
@@ -196,6 +199,8 @@ class SurrogatePredictionTier:
         return est.elapsed, est.chip_energy + est.dram_energy
 
     def predict(self, spec: PredictionSpec) -> Prediction | None:
+        if calibrated(spec.resolve()[1]) is None:
+            return None
         a = self.analytic.estimate(spec)
         group = (a.benchmark, a.cluster, spec.suite, spec.threads)
         s = self.model.estimate(group, a.nprocs, a.elapsed, a.energy.total_energy)
@@ -233,7 +238,7 @@ class SurrogatePredictionTier:
 
 class DesPredictionTier:
     """Tier C: the event-level engine; ground truth, fed back into the
-    corpus when one is attached."""
+    corpus when one is attached and the machine is calibrated."""
 
     name = "des"
 
@@ -254,16 +259,7 @@ class DesPredictionTier:
             **self.run_kwargs,
         )
         if self.corpus is not None:
-            self.corpus.add(CorpusSample(
-                benchmark=result.benchmark,
-                cluster=cluster.name,
-                suite=spec.suite,
-                nnodes=result.nnodes,
-                nprocs=result.nprocs,
-                threads=spec.threads,
-                elapsed=result.elapsed,
-                total_energy=result.energy.total_energy,
-            ))
+            self.corpus.add_run(result, cluster, spec.threads)
         return Prediction(
             spec=spec,
             tier=self.name,

@@ -1,11 +1,14 @@
 """The prediction corpus: completed DES runs the surrogate learns from.
 
 One :class:`CorpusSample` per simulated point — the DES runtime and
-energy for a ``(benchmark, cluster, suite, nnodes)`` query.  The corpus
-follows the :mod:`repro.harness.checkpoint` idioms: an append-only JSONL
-file with a schema stamp and a stable sha256 key per sample, tolerant of
-corrupt trailing lines (a killed writer), last-record-wins on duplicate
-keys, fsynced appends, and an atomic :meth:`PredictionCorpus.compact`.
+energy for a ``(benchmark, cluster, suite, nnodes)`` query.  The file is
+a :class:`repro.journal.Journal`: schema-stamped, locked fsynced
+appends, a binary-safe load that skips (and counts) a torn tail,
+last-record-wins per key, atomic :meth:`PredictionCorpus.compact`.
+
+Only the calibrated registry machines (:func:`repro.machine.calibrated`)
+are admitted, so a sample's ``cluster`` is always a registry name; its
+key also carries the machine digest.
 
 Two feeders fill it:
 
@@ -14,17 +17,20 @@ Two feeders fill it:
   encoded);
 * Tier C (:func:`repro.predict.api.predict` escalating to the DES)
   appends every fresh simulation, so repeated queries get cheaper.
+
+Schema history: 2 added the machine digest to the sample and its key;
+older records are rejected on load and their points re-simulate.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import asdict, dataclass
 
+from repro.journal import Journal
+
 #: Schema stamp written with every record (bump on incompatible change).
-CORPUS_SCHEMA = 1
+CORPUS_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,22 @@ class CorpusSample:
     threads: int
     elapsed: float         # DES full-run runtime [s]
     total_energy: float    # DES chip + DRAM energy [J]
+    #: machine digest of the simulated cluster (default: the registry
+    #: machine ``cluster`` names)
+    machine: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.machine:
+            from repro.machine.registry import get_cluster
+
+            object.__setattr__(
+                self, "machine", get_cluster(self.cluster).machine_digest
+            )
 
     @property
     def key(self) -> str:
         return sample_key(
-            self.benchmark, self.cluster, self.suite,
+            self.benchmark, self.cluster, self.machine, self.suite,
             self.nnodes, self.nprocs, self.threads,
         )
 
@@ -54,48 +71,40 @@ class CorpusSample:
 
 
 def sample_key(
-    benchmark: str, cluster: str, suite: str,
+    benchmark: str, cluster: str, machine: str, suite: str,
     nnodes: int, nprocs: int, threads: int,
 ) -> str:
     """Stable identity digest of one corpus point (spec_key idiom)."""
     raw = "|".join(
-        str(x) for x in (benchmark, cluster, suite, nnodes, nprocs, threads)
+        str(x)
+        for x in (benchmark, cluster, machine, suite, nnodes, nprocs, threads)
     )
     return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
 
-def _parse_line(line: str) -> CorpusSample | None:
-    """One JSONL line -> sample, or ``None`` for blank/corrupt/unknown
-    lines (truncated tail from a killed writer)."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        doc = json.loads(line)
-        if doc.get("schema") != CORPUS_SCHEMA or doc.get("kind") != "sample":
-            return None
-        return CorpusSample(**doc["sample"])
-    except (ValueError, KeyError, TypeError):
-        return None
+def _decode(doc: dict) -> tuple[str, CorpusSample]:
+    if doc["kind"] != "sample":
+        raise ValueError(f"unknown record kind {doc['kind']!r}")
+    sample = CorpusSample(**doc["sample"])
+    return sample.key, sample
+
+
+JOURNAL = Journal(CORPUS_SCHEMA, _decode)
 
 
 class PredictionCorpus:
     """In-memory sample set with optional JSONL persistence.
 
     ``path=None`` keeps the corpus ephemeral (one sweep's accumulation);
-    with a path, construction loads every valid record and :meth:`add`
-    durably appends.
+    with a path, construction loads every valid record (``rejected_lines``
+    counts the rest) and :meth:`add` durably appends.
     """
 
     def __init__(self, path: str | None = None) -> None:
         self.path = path
-        self._samples: dict[str, CorpusSample] = {}
-        if path is not None and os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    s = _parse_line(line)
-                    if s is not None:
-                        self._samples[s.key] = s   # last record wins
+        loaded = JOURNAL.load(path)
+        self._samples: dict[str, CorpusSample] = loaded.records
+        self.rejected_lines = loaded.rejected
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -111,16 +120,26 @@ class PredictionCorpus:
         by a file."""
         self._samples[sample.key] = sample
         if self.path is not None:
-            record = {
-                "schema": CORPUS_SCHEMA,
-                "kind": "sample",
-                "key": sample.key,
-                "sample": asdict(sample),
-            }
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            JOURNAL.append(self.path, {
+                "kind": "sample", "key": sample.key, "sample": asdict(sample),
+            })
+
+    def add_run(self, result, cluster, threads: int) -> None:
+        """Admit one DES run on ``cluster`` — only if it is a calibrated
+        machine (:func:`repro.machine.calibrated`): the corpus describes
+        the registry machines, and a re-clocked ClusterA keeps the name
+        but would overwrite the nominal point."""
+        from repro.machine.registry import calibrated
+
+        name = calibrated(cluster)
+        if name is not None:
+            self.add(CorpusSample(
+                benchmark=result.benchmark, cluster=name, suite=result.suite,
+                nnodes=result.nnodes, nprocs=result.nprocs, threads=threads,
+                elapsed=result.elapsed,
+                total_energy=result.energy.total_energy,
+                machine=cluster.machine_digest,
+            ))
 
     def group(self, group: tuple) -> list[CorpusSample]:
         """Samples of one scaling curve, sorted by node count."""
@@ -133,28 +152,11 @@ class PredictionCorpus:
         return sorted({s.group for s in self._samples.values()})
 
     def compact(self) -> int:
-        """Atomically rewrite the backing file with one line per key
-        (fsynced temp + replace; a crash leaves old or new, never torn).
+        """Atomically fold the backing file to one line per key.
         Returns the number of samples kept; memory-only corpora no-op."""
-        if self.path is None or not os.path.exists(self.path):
+        if self.path is None:
             return len(self._samples)
-        tmp = self.path + ".compact.tmp"
-        with open(tmp, "w") as fh:
-            for key, sample in self._samples.items():
-                fh.write(json.dumps({
-                    "schema": CORPUS_SCHEMA,
-                    "kind": "sample",
-                    "key": key,
-                    "sample": asdict(sample),
-                }) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        # make the rename itself durable, not just the temp file's bytes
-        from repro.harness.checkpoint import fsync_dir
-
-        fsync_dir(self.path)
-        return len(self._samples)
+        return JOURNAL.compact(self.path)
 
 
 def corpus_from_golden(

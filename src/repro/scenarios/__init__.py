@@ -10,6 +10,7 @@ The format and the checked-in zoo are documented in
 :attr:`~repro.scenarios.spec.Scenario.digest`.
 """
 
+from repro.machine.cluster import canonical_cluster_record
 from repro.scenarios.run import (
     SegmentedResult,
     run_frequency_plan,
@@ -22,7 +23,6 @@ from repro.scenarios.spec import (
     FrequencySegment,
     Scenario,
     ScenarioError,
-    canonical_cluster_record,
     library_names,
     load_scenario,
     scenario_names,

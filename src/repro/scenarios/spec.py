@@ -10,12 +10,13 @@ are rejected loudly at every level, following the
 :class:`~repro.faults.plan.FaultPlan` idiom.
 
 Identity is the :attr:`Scenario.digest`: a SHA-256 over a canonical
-record of the *resolved parameters* — the cluster's numbers (not its
-name), the active frequency segments (not zero-duration padding), the
-fault plan's own canonical digest.  Two scenarios that price identically
-therefore key identically: ``cluster: "zoo/icelake"`` and an inline
-``cluster_spec`` carrying the same Table 3 numbers produce the same
-digest, which is the property
+record of the *resolved parameters* — the cluster's
+:attr:`~repro.machine.cluster.ClusterSpec.machine_digest` (its numbers,
+not its name or capacity), the active frequency segments (not
+zero-duration padding), the fault plan's own digest.  Two scenarios
+that price identically therefore key identically: ``cluster:
+"zoo/icelake"`` and an inline ``cluster_spec`` carrying the same Table 3
+numbers produce the same digest, which is the property
 :func:`repro.validate.scenario.scenario_differential` pins down at the
 run-fingerprint level.  Floats are hex-encoded in the record (exact,
 platform-free), matching :mod:`repro.validate.golden`.
@@ -188,66 +189,6 @@ class FrequencyPlan:
 
 
 # --------------------------------------------------------------------------
-# cluster canonicalization
-# --------------------------------------------------------------------------
-
-
-def _hx(value: float) -> str:
-    return float(value).hex()
-
-
-def canonical_cluster_record(cluster: ClusterSpec) -> dict[str, Any]:
-    """Every parameter that can move a simulated result, floats
-    hex-encoded; pure labels (cluster/CPU names, ISA string, launch
-    year, extras, cache-level names) are excluded, so equal machines
-    digest equally regardless of what they are called."""
-    cpu = cluster.node.cpu
-    levels = [
-        {
-            "capacity": _hx(lvl.capacity_bytes),
-            "shared_by_cores": lvl.shared_by_cores,
-            "bandwidth_per_core": _hx(lvl.bandwidth_per_core),
-            "victim": lvl.victim,
-        }
-        for lvl in cpu.hierarchy.levels()
-    ]
-    net = cluster.network
-    return {
-        "max_nodes": cluster.max_nodes,
-        "sockets": cluster.node.sockets,
-        "memory_bytes": _hx(cluster.node.memory_bytes),
-        "cpu": {
-            "base_clock_hz": _hx(cpu.base_clock_hz),
-            "nominal_clock_hz": _hx(cpu.nominal_clock_hz),
-            "cores": cpu.cores,
-            "numa_domains": cpu.numa_domains,
-            "simd_width_dp": cpu.simd_width_dp,
-            "fma_units": cpu.fma_units,
-            "memory_channels": cpu.memory_channels,
-            "memory_transfer_rate": _hx(cpu.memory_transfer_rate),
-            "memory_bus_bytes": cpu.memory_bus_bytes,
-            "sustained_bw_fraction": _hx(cpu.sustained_bw_fraction),
-            "single_core_mem_bw": _hx(cpu.single_core_mem_bw),
-            "tdp_w": _hx(cpu.tdp_w),
-            "idle_power_w": _hx(cpu.idle_power_w),
-            "dram_idle_power_w": _hx(cpu.dram_idle_power_w),
-            "dram_power_per_gbs": _hx(cpu.dram_power_per_gbs),
-            "caches": levels,
-        },
-        "network": {
-            "link_bandwidth": _hx(net.link_bandwidth),
-            "efficiency": _hx(net.efficiency),
-            "latency": _hx(net.latency),
-            "intra_node_bandwidth": _hx(net.intra_node_bandwidth),
-            "intra_node_latency": _hx(net.intra_node_latency),
-            "eager_threshold": net.eager_threshold,
-            "rendezvous_handshake": _hx(net.rendezvous_handshake),
-            "per_message_overhead": _hx(net.per_message_overhead),
-        },
-    }
-
-
-# --------------------------------------------------------------------------
 # the scenario
 # --------------------------------------------------------------------------
 
@@ -402,11 +343,6 @@ class Scenario:
         record; the display name does not participate)."""
         cluster = self.base_cluster()
         plan = self.fault_plan()
-        fault_digest = None
-        if plan is not None and not plan.empty:
-            fault_digest = hashlib.sha256(
-                plan.to_json().encode()
-            ).hexdigest()[:16]
         freq = None
         if self.frequency is not None:
             freq = self.frequency.canonical_record(
@@ -414,11 +350,11 @@ class Scenario:
             )
         return {
             "schema": SCENARIO_SCHEMA,
-            "cluster": canonical_cluster_record(cluster),
+            "machine": cluster.machine_digest,
             "suite": self.suite,
             "benchmarks": list(self.benchmarks),
             "frequency": freq,
-            "faults": fault_digest,
+            "faults": None if plan is None or plan.empty else plan.digest,
             "sweep": {k: list(v) for k, v in sorted((self.sweep or {}).items())},
         }
 

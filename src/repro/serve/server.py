@@ -350,18 +350,7 @@ class ServeApp:
         if spec.prediction_spec() is not None:
             # only clean grid points train the predictor (noise, faults
             # and truncated step counts would poison the residuals)
-            from repro.predict.corpus import CorpusSample
-
-            self.corpus.add(CorpusSample(
-                benchmark=result.benchmark,
-                cluster=result.cluster,
-                suite=result.suite,
-                nnodes=result.nnodes,
-                nprocs=result.nprocs,
-                threads=spec.threads,
-                elapsed=result.elapsed,
-                total_energy=result.energy.total_energy,
-            ))
+            self.corpus.add_run(result, spec.resolve()[1], spec.threads)
         return entry
 
     def _try_predict(self, spec: ServeSpec, max_band: float):

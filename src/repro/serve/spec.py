@@ -18,13 +18,15 @@ threads, seed/noise, explicit step counts, fault plans — are all keyed.
 A request may name a :class:`~repro.scenarios.Scenario` instead of a
 cluster — a library/zoo reference string or an inline scenario
 document (``"scenario": "zoo/cascadelake"``).  The scenario supplies
-the machine, a fixed frequency plan, a fault plan, and a default suite;
-the scenario's parameter-level :attr:`~repro.scenarios.Scenario.digest`
-joins the canonical record, so two scenarios that resolve to different
-parameters can never alias one key.  Segmented frequency plans are
-rejected here — the server prices single runs, and a multi-frequency
-trajectory is not one run (use
-:func:`repro.scenarios.run_frequency_plan` locally).
+the machine, a fixed frequency plan, a fault plan, and a default suite,
+each of which lands in the record through the fields it resolves to:
+the effective machine's
+:attr:`~repro.machine.cluster.ClusterSpec.machine_digest` (frequency
+included), the fault digest, the suite.  ``"scenario": "zoo/icelake"``
+and ``"cluster": "A"`` therefore share a key, while a re-clocked
+scenario splits it.  Segmented frequency plans are rejected here — the
+server prices single runs, and a multi-frequency trajectory is not one
+run (use :func:`repro.scenarios.run_frequency_plan` locally).
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from typing import Any, Optional
 #: Bump on incompatible canonical-record change (old store records then
 #: key differently and simply miss — recompute-and-rewrite, never a
 #: wrong answer).  2: scenario digest joined the record, ``suite``
-#: became resolution-ordered (request > scenario > "tiny").
-SPEC_SCHEMA = 2
+#: became resolution-ordered (request > scenario > "tiny").  3: the
+#: machine digest replaced the scenario digest.
+SPEC_SCHEMA = 3
 
 
 class SpecError(ValueError):
@@ -258,38 +261,21 @@ class ServeSpec:
             faults=self.fault_plan(),
         )
 
-    def _calibrated_cluster(self) -> Optional[str]:
-        """The registry name of this request's machine, or ``None`` when
-        the request runs on something the calibrated tiers have never
-        seen (a zoo machine, a re-clocked scenario).  The cheap tiers'
-        corpora are keyed by registry cluster name, so only calibrated
-        requests may train or consult them."""
-        if self.scenario is None:
-            return self.cluster
-        from repro.machine.registry import CLUSTERS
-
-        scenario = self.scenario_obj()
-        effective = scenario.effective_cluster()
-        for name in ("A", "B"):
-            if effective == CLUSTERS[name]:
-                return name
-        return None
-
     def prediction_spec(self):
         """The equivalent :class:`~repro.predict.api.PredictionSpec`, or
         ``None`` when the request uses DES-only axes (noise, faults,
         explicit step counts) that no cheap tier can price — or runs on
-        a machine outside the calibrated registry (see
-        :meth:`_calibrated_cluster`): the surrogate corpus is keyed by
-        registry cluster name, and letting a re-clocked or zoo machine
-        consult (or train) it would silently mis-correct."""
+        a machine the cheap tiers are not calibrated for
+        (:func:`repro.machine.calibrated`)."""
         if (
             self.noise_sigma != 0.0
             or self.sim_steps is not None
             or self.fault_plan() is not None
         ):
             return None
-        cluster = self._calibrated_cluster()
+        from repro.machine.registry import calibrated
+
+        cluster = calibrated(self.resolve()[1])
         if cluster is None:
             return None
         from repro.predict.api import PredictionSpec
@@ -309,25 +295,19 @@ class ServeSpec:
         """The deterministically ordered record the key hashes.
 
         Registry names are resolved (``"A"`` and ``"ClusterA"`` are the
-        same cluster, so they must be the same key), the rank count is
-        materialized, floats are hex-encoded (exact, platform-free), a
-        fault plan contributes its own canonical JSON digest, and a
-        scenario contributes its parameter-level digest (so a zoo
-        reference and an equal inline scenario document share a key,
-        while any parameter difference splits it).
+        same cluster, so they must be the same key), the machine enters
+        by its label *and* its machine digest (a DVFS re-clock keeps the
+        label), the rank count is materialized, floats are hex-encoded
+        (exact, platform-free), and a fault plan contributes its own
+        canonical JSON digest.
         """
         bench, cluster, nprocs = self.resolve()
         plan = self.fault_plan()
-        fault_digest = None
-        if plan is not None and not plan.empty:
-            fault_digest = hashlib.sha256(
-                plan.to_json().encode()
-            ).hexdigest()[:16]
-        scenario = self.scenario_obj()
         return {
             "schema": SPEC_SCHEMA,
             "benchmark": bench.name,
             "cluster": cluster.name,
+            "machine": cluster.machine_digest,
             "nnodes": self.nnodes,
             "nprocs": nprocs,
             "suite": self.resolved_suite,
@@ -335,8 +315,7 @@ class ServeSpec:
             "seed": self.seed,
             "noise_sigma": float(self.noise_sigma).hex(),
             "sim_steps": self.sim_steps,
-            "faults": fault_digest,
-            "scenario": None if scenario is None else scenario.digest[:16],
+            "faults": None if plan is None or plan.empty else plan.digest,
         }
 
     @property

@@ -1,31 +1,29 @@
 """The content-addressed result store behind ``repro serve``.
 
 An append-only JSONL file, one record per completed DES answer, keyed
-by the canonical spec digest (:mod:`repro.serve.spec`).  The machinery
-follows the schema-2 checkpoint idioms (:mod:`repro.harness.checkpoint`)
-— schema stamps, corrupt-tail tolerance, last-record-wins, fsynced
-appends, atomic compaction with a durable directory entry — plus one
-property checkpoints do not need: **integrity verification**.  Every
+by the canonical spec digest (:mod:`repro.serve.spec`).  The file is a
+:class:`repro.journal.Journal` — schema stamps, locked fsynced appends,
+a binary-safe load that skips a torn tail, last-record-wins, atomic
+compaction with a durable directory entry — plus one property the
+checkpoint and corpus do not need: **integrity verification**.  Every
 record carries the result's golden fingerprint digest, and a record
 whose stored result no longer reproduces that digest (bit rot, a torn
-concurrent write, a tampered file) is discarded on load.  Corruption of
+concurrent write, a tampered file) is rejected on load.  Corruption of
 any kind therefore degrades to a cache *miss* — recompute and rewrite —
 never to a wrong cached answer.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.harness.checkpoint import fsync_dir
 from repro.harness.results import RunResult
+from repro.journal import Journal
 
 #: Schema stamp for store records; records from other schemas are
-#: ignored on load (a stale-schema store degrades to recompute).
+#: rejected on load (a stale-schema store degrades to recompute).
 STORE_SCHEMA = 1
 
 
@@ -41,7 +39,6 @@ class StoreEntry:
 
     def to_record(self) -> dict[str, Any]:
         return {
-            "schema": STORE_SCHEMA,
             "kind": "entry",
             "key": self.key,
             "spec": self.spec,
@@ -51,38 +48,25 @@ class StoreEntry:
         }
 
 
-def _verify(entry: StoreEntry) -> bool:
-    """True iff the stored result still hashes to its recorded digest."""
+def _decode(doc: dict) -> tuple[str, StoreEntry]:
+    """One record -> verified entry; raises for anything else."""
     from repro.validate.golden import fingerprint
 
-    try:
-        return fingerprint(entry.result).digest == entry.fingerprint
-    except Exception:
-        return False
+    if doc["kind"] != "entry":
+        raise ValueError(f"unknown record kind {doc['kind']!r}")
+    entry = StoreEntry(
+        key=doc["key"],
+        spec=doc["spec"],
+        result=RunResult.from_checkpoint_dict(doc["result"]),
+        fingerprint=doc["fingerprint"],
+        source=doc.get("source", "des"),
+    )
+    if fingerprint(entry.result).digest != entry.fingerprint:
+        raise ValueError("stored result no longer reproduces its fingerprint")
+    return entry.key, entry
 
 
-def _parse_line(line: str) -> Optional[StoreEntry]:
-    """One JSONL line -> verified entry, or ``None`` for blank, corrupt,
-    truncated, unknown-schema, or integrity-failing lines."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        doc = json.loads(line)
-        if doc.get("schema") != STORE_SCHEMA or doc.get("kind") != "entry":
-            return None
-        entry = StoreEntry(
-            key=doc["key"],
-            spec=doc["spec"],
-            result=RunResult.from_checkpoint_dict(doc["result"]),
-            fingerprint=doc["fingerprint"],
-            source=doc.get("source", "des"),
-        )
-    except (ValueError, KeyError, TypeError):
-        return None
-    if not _verify(entry):
-        return None
-    return entry
+JOURNAL = Journal(STORE_SCHEMA, _decode)
 
 
 class ResultStore:
@@ -91,77 +75,40 @@ class ResultStore:
     ``path=None`` keeps the store in memory (tests, ephemeral servers).
     Construction loads every valid record (last record wins per key);
     :meth:`put` durably appends; :meth:`compact` atomically folds the
-    file to one line per key.  All methods are thread-safe — the server
-    touches the store from its event loop and its worker threads.
+    file to one line per key.  Safe to share between the server's event
+    loop and its worker threads.
     """
 
     def __init__(self, path: str | None = None) -> None:
         self.path = path
-        self._entries: dict[str, StoreEntry] = {}
         self._lock = threading.Lock()
+        loaded = JOURNAL.load(path)
+        self._entries: dict[str, StoreEntry] = loaded.records
         #: lines present in the file but rejected on load (corrupt,
         #: stale schema, integrity failure) — observability for /metrics
-        self.rejected_lines = 0
-        if path is not None and os.path.exists(path):
-            with open(path, errors="replace") as fh:
-                for raw in fh:
-                    entry = _parse_line(raw)
-                    if entry is None:
-                        if raw.strip():
-                            self.rejected_lines += 1
-                        continue
-                    self._entries[entry.key] = entry
+        self.rejected_lines = loaded.rejected
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
     def get(self, key: str) -> Optional[StoreEntry]:
-        with self._lock:
-            return self._entries.get(key)
+        return self._entries.get(key)
 
     def put(self, entry: StoreEntry) -> None:
         """Insert (or replace) one answer; durably appended when backed
-        by a file (fsynced data — the rename durability lives in
-        :meth:`compact`)."""
+        by a file.  Locked, so the answer kept in memory for a key is
+        also the last one in the file."""
         with self._lock:
             self._entries[entry.key] = entry
-            if self.path is None:
-                return
-            line = json.dumps(entry.to_record(), sort_keys=True)
-            fresh = not os.path.exists(self.path)
-            with open(self.path, "a") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            if fresh:
-                # first append created the file: make its directory
-                # entry durable too
-                fsync_dir(self.path)
+            if self.path is not None:
+                JOURNAL.append(self.path, entry.to_record())
 
     def compact(self) -> int:
-        """Atomically rewrite the file with one verified line per key.
-
-        fsyncs the temp file *and* the directory entry after
-        ``os.replace`` — without the latter a crash can resurrect the
-        pre-compact file even though the replace "succeeded".  Returns
-        the number of entries kept; memory-only stores no-op.
-        """
-        with self._lock:
-            if self.path is None:
-                return len(self._entries)
-            tmp = self.path + ".compact.tmp"
-            with open(tmp, "w") as fh:
-                for entry in self._entries.values():
-                    fh.write(json.dumps(entry.to_record(), sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            fsync_dir(self.path)
+        """Atomically fold the file to one verified line per key.
+        Returns the number of entries kept; memory-only stores no-op."""
+        if self.path is None:
             return len(self._entries)
+        return JOURNAL.compact(self.path)

@@ -1,5 +1,5 @@
 """Executor protocol: capability flags, backend parity, seeded backoff,
-serial timeout isolation, and checkpoint schema-2 behavior.
+serial timeout isolation, and checkpoint schema behavior.
 
 Fabric-specific behavior (wire protocol, leases, chaos) lives in
 ``tests/test_fabric.py``; this file covers the protocol layer shared by
@@ -21,7 +21,11 @@ from repro.harness import (
     run_many,
     spec_key,
 )
-from repro.harness.checkpoint import append_checkpoint, append_event
+from repro.harness.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    append_checkpoint,
+    append_event,
+)
 from repro.harness.executors import backoff_delay
 from repro.harness.fabric import FabricExecutor
 from repro.machine import CLUSTER_A
@@ -153,29 +157,34 @@ def test_serial_executor_enforces_timeout():
     assert out[1].benchmark == "quick"
 
 
-# --- checkpoint schema 2 ----------------------------------------------------
+# --- checkpoint schema -------------------------------------------------------
 
 
-def test_checkpoint_writes_schema_2(tmp_path):
+def test_checkpoint_writes_current_schema(tmp_path):
     path = str(tmp_path / "ck.jsonl")
     run_many(_specs(1), checkpoint=path)
     doc = json.loads(open(path).readline())
-    assert doc["schema"] == 2
+    assert doc["schema"] == CHECKPOINT_SCHEMA
     assert doc["kind"] == "result"
 
 
-def test_checkpoint_schema_1_still_loads(tmp_path):
+def test_old_checkpoint_schemas_miss_and_rerun(tmp_path):
+    """Older schemas keyed the machine by name only; their records are
+    rejected, so the point re-runs — never a wrong answer."""
+    from repro.harness import engine_run_count
+
     path = str(tmp_path / "ck.jsonl")
     specs = _specs(1)
     (result,) = run_many(specs)
     key = spec_key(specs[0])
-    v1 = {"version": 1, "key": key, "result": result.to_checkpoint_dict()}
     with open(path, "w") as fh:
-        fh.write(json.dumps(v1) + "\n")
-    saved = load_checkpoint(path)
-    assert fingerprint(saved[key]) == fingerprint(result)
-    # and a resume run re-simulates nothing
+        for old in ({"version": 1}, {"schema": 2, "kind": "result"}):
+            doc = {**old, "key": key, "result": result.to_checkpoint_dict()}
+            fh.write(json.dumps(doc) + "\n")
+    assert load_checkpoint(path) == {}
+    before = engine_run_count()
     out = run_many(specs, checkpoint=path)
+    assert engine_run_count() == before + 1
     assert fingerprint(out[0]) == fingerprint(result)
 
 
@@ -206,7 +215,7 @@ def test_compact_tolerates_corrupt_tail(tmp_path):
     specs = _specs(1)
     run_many(specs, checkpoint=path)
     with open(path, "a") as fh:
-        fh.write('{"schema": 2, "kind": "result", "key": "tr')  # torn write
+        fh.write('{"schema": 3, "kind": "result", "key": "tr')  # torn write
     assert compact(path) == 1
     assert spec_key(specs[0]) in load_checkpoint(path)
 

@@ -224,6 +224,22 @@ def test_auto_escalates_to_des_and_feeds_corpus():
     assert again.runtime == pytest.approx(first.runtime, rel=1e-9)
 
 
+def test_reclocked_des_answer_leaves_the_corpus_alone():
+    """A re-clocked ClusterA keeps its name; its answers must neither
+    come from nor overwrite ClusterA's corpus points."""
+    from repro.model.dvfs import apply_frequency
+
+    corpus = PredictionCorpus()
+    predict(PredictionSpec("tealeaf", "A", 1), tier="des", corpus=corpus,
+            sim_steps=2)
+    (nominal,) = list(corpus)
+    slow = PredictionSpec("tealeaf", "A", 1, cluster_obj=apply_frequency(
+        get_cluster("A"), 1.6e9))
+    pred = predict(slow, tier="auto", corpus=corpus, sim_steps=2)
+    assert pred.tier == "des"
+    assert list(corpus) == [nominal]
+
+
 def test_des_tier_matches_the_runner():
     bench = get_benchmark("lbm")
     cluster = get_cluster("A")

@@ -312,6 +312,25 @@ def test_checkpoint_reruns_changed_and_corrupt_entries(tmp_path):
     assert all(not r.failed for r in results)
 
 
+def test_checkpoint_does_not_answer_a_reclocked_cluster(tmp_path):
+    """A DVFS re-clock keeps the cluster's name, so a checkpoint keyed
+    by that name would hand the nominal answer to the re-clocked sweep."""
+    from repro.harness import engine_run_count
+    from repro.model.dvfs import apply_frequency
+
+    lbm = get_benchmark("lbm")
+    path = str(tmp_path / "sweep.jsonl")
+    (nominal,) = run_many([_spec(lbm, 2, sim_steps=1)], checkpoint=path)
+    slow = apply_frequency(CLUSTER_A, 1.6e9)
+    before = engine_run_count()
+    (reclocked,) = run_many(
+        [RunSpec(benchmark=lbm, cluster=slow, nprocs=2, sim_steps=1)],
+        checkpoint=path,
+    )
+    assert engine_run_count() == before + 1
+    assert reclocked.elapsed != nominal.elapsed
+
+
 # --- pool death fallback ----------------------------------------------------
 
 

@@ -251,14 +251,27 @@ def test_serve_spec_accepts_scenario_ref():
     assert spec.prediction_spec() is None
 
 
-def test_serve_spec_scenario_digest_in_canonical_record():
+def test_serve_key_names_the_machine_not_the_request_form():
     from repro.serve.spec import ServeSpec
 
-    spec = ServeSpec.from_request(
-        {"benchmark": "lbm", "scenario": "zoo/icelake"}
-    )
-    rec = spec.canonical_record()
-    assert rec["scenario"] == load_scenario("zoo/icelake").digest[:16]
+    def key(doc):
+        return ServeSpec.from_request({"benchmark": "lbm", **doc}).key
+
+    assert key({"scenario": "zoo/icelake"}) == key({"cluster": "A"})
+    clocked = {"name": "slow", "cluster": "A", "frequency": 1.6}
+    assert key({"scenario": clocked}) != key({"cluster": "A"})
+
+
+def test_calibrated_names_the_machine_not_the_label():
+    from dataclasses import replace
+
+    from repro.machine import calibrated
+    from repro.model.dvfs import apply_frequency
+
+    assert calibrated(get_cluster("zoo/icelake")) == "ClusterA"
+    assert calibrated(replace(CLUSTER_B, max_nodes=64)) == "ClusterB"
+    assert calibrated(apply_frequency(CLUSTER_A, 1.6e9)) is None
+    assert calibrated(get_cluster("zoo/cascadelake")) is None
 
 
 def test_serve_spec_rejects_cluster_plus_scenario():
