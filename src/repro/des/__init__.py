@@ -9,8 +9,13 @@ The simulated MPI runtime (:mod:`repro.smpi`) and the benchmark codes run on
 top of this engine, so communication/serialization phenomena (rendezvous
 ripples, barrier skew) emerge from actual interleaved execution rather than
 closed-form formulas.
+
+:func:`gc_paused` keeps Python's cyclic garbage collector off for the
+span of one run (a run's world is acyclic and freed by reference
+counting; see :mod:`repro.des.gcpause`).
 """
 
+from repro.des.gcpause import gc_paused
 from repro.des.simulator import (
     DeadlockError,
     Delay,
@@ -33,4 +38,5 @@ __all__ = [
     "DeadlockError",
     "HangError",
     "join_all",
+    "gc_paused",
 ]

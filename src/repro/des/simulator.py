@@ -316,8 +316,10 @@ class Simulator:
         self._heap: list[tuple[float, int, Optional[SimProcess], Any]] = []
         self._runq: deque[tuple[int, Optional[SimProcess], Any]] = deque()
         self._counter = itertools.count()
-        self._processes: list[SimProcess] = []
-        self._nfinished = 0
+        # unfinished processes in spawn order: what a deadlock report
+        # names.  It is the only engine -> process link, and it empties
+        # as processes finish, so a drained run holds no reference cycle
+        self._live: dict[SimProcess, None] = {}
         self.stats = SimStats()
 
     @property
@@ -341,7 +343,7 @@ class Simulator:
         if not isinstance(body, _GeneratorABC):
             raise TypeError(f"process body for {name!r} must be a generator")
         proc = SimProcess(name, body, self)
-        self._processes.append(proc)
+        self._live[proc] = None
         self._schedule(self.now, proc, None)
         return proc
 
@@ -351,10 +353,6 @@ class Simulator:
         if time < self.now - 1e-15:
             raise ValueError(f"call_at in the past: {time} < {self.now}")
         self._push(time, self._key(), None, fn)
-
-    @property
-    def processes(self) -> tuple[SimProcess, ...]:
-        return tuple(self._processes)
 
     # --- engine internals ----------------------------------------------------
 
@@ -382,7 +380,7 @@ class Simulator:
         self._push(self.now, self._key(), proc, value)
 
     def _finished(self, proc: SimProcess) -> None:
-        self._nfinished += 1
+        del self._live[proc]
 
     # --- main loop -----------------------------------------------------------
 
@@ -457,18 +455,14 @@ class Simulator:
             if proc.done:
                 continue
             proc._step(value)
-        blocked = [p for p in self._processes if not p.done]
-        if blocked:
+        if self._live:
+            blocked = tuple(self._live)
             names = ", ".join(p.name for p in blocked[:8])
             raise DeadlockError(
                 f"{len(blocked)} process(es) blocked forever at t={self.now}: {names}",
-                blocked=tuple(blocked),
+                blocked=blocked,
             )
         return self.now
-
-    def all_done(self) -> bool:
-        """True if every spawned process has finished."""
-        return all(p.done for p in self._processes)
 
 
 class DeadlockError(RuntimeError):

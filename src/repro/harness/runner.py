@@ -7,6 +7,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.des.gcpause import gc_paused
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.machine.cluster import ClusterSpec
@@ -52,6 +53,7 @@ def engine_run_count() -> int:
     return _engine_tally.count
 
 
+@gc_paused()
 def run(
     benchmark: Benchmark,
     cluster: ClusterSpec,
@@ -151,6 +153,14 @@ def run(
         For out-of-range parameters, before any simulation state is
         built (bad inputs must not surface later as a cryptic mid-run
         failure deep inside the DES).
+
+    Notes
+    -----
+    The cyclic garbage collector is paused for the whole call (see
+    :func:`~repro.des.gcpause.gc_paused`) and restored to the caller's
+    state on return or raise.  A successful run allocates no cyclic
+    garbage, so its world is freed by reference counting once the
+    result no longer needs it.
     """
     from repro.harness.results import RunResult  # local import: no cycle
 
@@ -250,10 +260,10 @@ def run(
         else:
             ctl = FastForwardController(runtime, steps, ctx.exec_model)
         ctx.fast_forward = ctl
-        runtime.tier_metrics = ctl.metrics
+        tier_metrics = ctl.metrics
     else:
         code = tier_declined[0] if tier_declined is not None else "disabled"
-        runtime.tier_metrics = lambda code=code: {f"declined.{code}": 1.0}
+        tier_metrics = lambda code=code: {f"declined.{code}": 1.0}
     _engine_tally.bump()
     job = runtime.launch(
         benchmark.make_body(ctx), max_events=max_events, deadline=sim_time_limit
@@ -296,7 +306,7 @@ def run(
             and getattr(ctx.fast_forward, "mode", None) == "wavefront"
             and ctx.fast_forward.engaged
         ),
-        "metrics": run_metrics(runtime),
+        "metrics": run_metrics(runtime, tier_metrics),
     }
     if perturb_seed is not None:
         meta["perturb_seed"] = perturb_seed

@@ -139,12 +139,17 @@ def bandwidth_metrics(resource: Any) -> dict[str, float]:
     }
 
 
-def runtime_registry(runtime: "MpiRuntime") -> MetricsRegistry:
+def runtime_registry(
+    runtime: "MpiRuntime", tier: MetricSource | None = None
+) -> MetricsRegistry:
     """A registry wired with every standard source the runtime carries:
     always ``engine`` and ``mailboxes``; ``faults``/``trace`` when the
     corresponding subsystem is attached; ``wavefront`` when the runner
-    set tier-decision counters (``eligible``/``levels``/``events_saved``
-    on engage, ``declined.<reason>`` otherwise)."""
+    passes the tier-decision counters as ``tier``
+    (``eligible``/``levels``/``events_saved`` on engage,
+    ``declined.<reason>`` otherwise).  ``tier`` is passed in, not kept
+    on the runtime: the replay controller holds the runtime, so the
+    runtime holding the controller's ``metrics`` would be a cycle."""
     reg = MetricsRegistry()
     reg.register("engine", lambda: engine_metrics(runtime.sim))
     reg.register("mailboxes", lambda: mailbox_metrics(runtime.mailboxes))
@@ -152,15 +157,17 @@ def runtime_registry(runtime: "MpiRuntime") -> MetricsRegistry:
         reg.register("faults", lambda: fault_metrics(runtime.faults))
     if runtime.trace is not None:
         reg.register("trace", lambda: trace_metrics(runtime.trace))
-    if getattr(runtime, "tier_metrics", None) is not None:
-        reg.register("wavefront", runtime.tier_metrics)
+    if tier is not None:
+        reg.register("wavefront", tier)
     return reg
 
 
-def run_metrics(runtime: "MpiRuntime") -> dict[str, dict[str, float]]:
+def run_metrics(
+    runtime: "MpiRuntime", tier: MetricSource | None = None
+) -> dict[str, dict[str, float]]:
     """The standard post-run snapshot stored in
     ``RunResult.meta["metrics"]``."""
-    return runtime_registry(runtime).snapshot()
+    return runtime_registry(runtime, tier).snapshot()
 
 
 def aggregate_metrics(series: "ScalingSeries") -> dict[str, dict[str, float]]:

@@ -227,9 +227,6 @@ class MpiRuntime:
         #: optional step-journal recorder (attached by the fast-forward
         #: controller only while it is capturing a representative step)
         self.recorder: Any | None = None
-        #: post-run tier-decision counters (set by the runner; the
-        #: ``wavefront`` metrics source in :mod:`repro.obs.metrics`)
-        self.tier_metrics: Optional[Callable[[], dict[str, float]]] = None
         self.stats = [
             RankStats(rank=r, node=p[0], domain=p[1].domain)
             for r, p in enumerate(self._placement)

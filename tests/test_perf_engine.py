@@ -7,6 +7,7 @@ the optimized paths (run-queue fast path, phase-cost memoization, process
 ``reuse_identical_repeats=False``) and demands *bit-identical* output.
 """
 
+import gc
 import pickle
 
 import pytest
@@ -357,3 +358,70 @@ def test_runner_reports_benchmark_on_empty_stats(monkeypatch):
     monkeypatch.setattr(runner_mod, "MpiRuntime", _EmptyRuntime)
     with pytest.raises(RuntimeError, match="tealeaf"):
         run(get_benchmark("tealeaf"), CLUSTER_A, 2)
+
+
+# --- acyclic run teardown ---------------------------------------------------
+
+TWO_NODES_A = 2 * CLUSTER_A.cores_per_node
+
+
+def _cyclic_garbage(bench, nprocs, **kwargs):
+    """Objects only the cyclic collector can free once one ``run`` result
+    is dropped, with the collector off from before the run to the count.
+
+    A warm-up run first pays the one-off garbage of lazy imports and
+    first-use caches, which is not the run's own.  Returns the count and
+    the dropped result's ``meta``.
+    """
+    run(bench, CLUSTER_A, nprocs, **kwargs)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        meta = run(bench, CLUSTER_A, nprocs, **kwargs).meta
+        return gc.collect(), meta
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("bench_name", ALL_BENCH_NAMES)
+def test_run_leaves_no_cyclic_garbage(bench_name):
+    """A finished run's whole world (processes, mailboxes, rank stats,
+    step journals) is freed by reference counting alone when the result
+    goes: nothing in it waits for the cyclic collector."""
+    garbage, _ = _cyclic_garbage(get_benchmark(bench_name), TWO_NODES_A)
+    assert garbage == 0
+
+
+@pytest.mark.parametrize(
+    ("bench_name", "nprocs", "kwargs", "tier"),
+    [
+        ("minisweep", 8, dict(sim_steps=8), "wavefront"),
+        ("lbm", 24, dict(sim_steps=10), "fast_forward"),
+    ],
+    ids=["wavefront", "sync"],
+)
+def test_replay_tier_run_leaves_no_cyclic_garbage(bench_name, nprocs, kwargs, tier):
+    """The replay controller holds the runtime; the tier's metrics must
+    not be hung back on the runtime, or the pair keeps the run alive."""
+    garbage, meta = _cyclic_garbage(get_benchmark(bench_name), nprocs, **kwargs)
+    assert meta[tier] is True
+    assert garbage == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(trace=True),
+        dict(invariants=True),
+        dict(noise_sigma=0.05, seed=3),
+        dict(perturb_seed=7),
+        dict(fast_path=False, memoize=False, matcher="linear",
+             fast_forward=False, wavefront=False),
+    ],
+    ids=["trace", "invariants", "noise", "perturb", "reference"],
+)
+def test_instrumented_run_leaves_no_cyclic_garbage(kwargs):
+    garbage, _ = _cyclic_garbage(get_benchmark("tealeaf"), TWO_NODES_A, **kwargs)
+    assert garbage == 0

@@ -5,13 +5,18 @@ The benchmark doubles live at module scope so they pickle by reference
 into worker processes.
 """
 
+import contextlib
+import gc
 import json
 import os
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.des import DeadlockError
+from repro.des import DeadlockError, HangError, gc_paused
 from repro.harness import (
     FailedRun,
     RunFailedError,
@@ -20,11 +25,14 @@ from repro.harness import (
     run_many,
     scaling_sweep,
 )
+from repro.faults import FaultPlan, RankCrash
 from repro.harness.export import records_to_jsonl, series_to_json
 from repro.machine import CLUSTER_A
 from repro.smpi import MpiRuntime
+from repro.smpi.diagnostics import RankCrashedError
 from repro.spechpc import get_benchmark
 from repro.spechpc.base import Benchmark, BenchmarkInfo, Workload
+from repro.validate.golden import fingerprint
 
 
 def _info(name):
@@ -141,6 +149,37 @@ class HangingBenchmark(_DoubleBase):
         def body(comm):
             while True:
                 yield comm.compute(1e-3, flops=1.0)
+
+        return body
+
+
+class DeadlockingBenchmark(_DoubleBase):
+    """Each rank waits for a message its peer never sends."""
+
+    info = _info("deadlocking")
+
+    def make_body(self, ctx):
+        def body(comm):
+            yield comm.recv((comm.rank + 1) % comm.size, tag=5)
+
+        return body
+
+
+class CollectorProbeBenchmark(_DoubleBase):
+    """Records ``gc.isenabled()`` while the world is built and while a
+    rank body executes."""
+
+    info = _info("collector-probe")
+
+    def __init__(self):
+        self.seen = []
+
+    def make_body(self, ctx):
+        self.seen.append(gc.isenabled())
+
+        def body(comm):
+            self.seen.append(gc.isenabled())
+            yield comm.compute(1.0, flops=1e6)
 
         return body
 
@@ -492,3 +531,134 @@ def test_leftover_recv_posts_reported():
         rt.launch(body)
     assert "recv posted" in str(excinfo.value)
     assert "tag=3" in str(excinfo.value)
+
+
+# --- run-scoped collector pause ----------------------------------------------
+# A lock-ordering bug in the pause would hang rather than fail, hence these
+# live in the watchdogged robustness lane.
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """Run the block with the cyclic collector on or off, then put back
+    the state found."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_restores_collector_state(enabled):
+    with _collector(enabled):
+        run(QuickBenchmark(), CLUSTER_A, 2)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    ("bench", "kwargs", "error"),
+    [
+        (HangingBenchmark(), dict(max_events=1000), HangError),
+        (DeadlockingBenchmark(), {}, DeadlockError),
+        (QuickBenchmark(),
+         dict(faults=FaultPlan(crashes=(RankCrash(rank=0, time=1e-9),))),
+         RankCrashedError),
+        (QuickBenchmark(), dict(noise_sigma=-1.0), ValueError),
+    ],
+    ids=["hang", "deadlock", "crash", "invalid"],
+)
+def test_failed_run_restores_collector_state(bench, kwargs, error, enabled):
+    with _collector(enabled):
+        with pytest.raises(error):
+            run(bench, CLUSTER_A, 2, **kwargs)
+        assert gc.isenabled() is enabled
+
+
+def test_collector_paused_while_run_executes():
+    probe = CollectorProbeBenchmark()
+    with _collector(True):
+        run(probe, CLUSTER_A, 2)
+        assert gc.isenabled()
+    # once while building the world, once per rank body
+    assert probe.seen == [False, False, False]
+
+
+def test_pause_depth_survives_thread_churn():
+    """Many threads entering and leaving the pause with a tiny switch
+    interval: a lost update to the nesting count would either re-enable
+    the collector under a thread still inside or leave it off after."""
+    inside_enabled = []
+
+    def churn():
+        for _ in range(300):
+            with gc_paused():
+                if gc.isenabled():
+                    inside_enabled.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _collector(True):
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+    assert inside_enabled == []
+
+
+def _gated(name, gate):
+    """Suite benchmark ``name`` that calls ``gate()`` before building
+    its rank bodies (same class data, so the same fingerprint)."""
+
+    class Gated(type(get_benchmark(name))):
+        def make_body(self, ctx):
+            gate()
+            return super().make_body(ctx)
+
+    return Gated()
+
+
+def test_overlapping_threaded_runs_share_the_pause():
+    """Two threads inside ``run`` at once, as on the server's pool: the
+    first one out must not turn the collector back on under the second,
+    the last one out must, and both results match serial runs."""
+    nprocs = 2 * CLUSTER_A.cores_per_node
+    names = ("lbm", "tealeaf")
+    serial = [fingerprint(run(get_benchmark(n), CLUSTER_A, nprocs)).digest
+              for n in names]
+    both_inside = threading.Barrier(2, timeout=60)
+    first_out = threading.Event()
+    seen = []
+
+    def first_gate():
+        both_inside.wait()
+
+    def second_gate():
+        both_inside.wait()
+        assert first_out.wait(timeout=60)
+        seen.append(gc.isenabled())
+
+    def first():
+        try:
+            return run(_gated(names[0], first_gate), CLUSTER_A, nprocs)
+        finally:
+            first_out.set()
+
+    def second():
+        return run(_gated(names[1], second_gate), CLUSTER_A, nprocs)
+
+    with _collector(True):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(first), pool.submit(second)]
+            results = [f.result(timeout=120) for f in futures]
+        assert gc.isenabled()
+    assert seen == [False]
+    assert [fingerprint(r).digest for r in results] == serial
