@@ -9,6 +9,7 @@ import contextlib
 import gc
 import json
 import os
+import signal
 import sys
 import threading
 import time
@@ -16,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.des import DeadlockError, HangError, gc_paused
+from repro.des import DeadlockError, HangError, gc_paused, gcpause
 from repro.harness import (
     FailedRun,
     RunFailedError,
@@ -612,6 +613,91 @@ def test_pause_depth_survives_thread_churn():
     finally:
         sys.setswitchinterval(interval)
     assert inside_enabled == []
+
+
+@contextlib.contextmanager
+def _held_elsewhere(cm):
+    """Run the block while another thread sits inside ``cm``, as a
+    server's cold run sits in its pause while a sweep forks its worker
+    pool."""
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        with cm:
+            inside.set()
+            release.wait(timeout=60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert inside.wait(timeout=60)
+        yield
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
+
+
+def _fork(child):
+    """Exit code of ``child()`` run in a forked process."""
+    pid = os.fork()
+    if pid == 0:
+        code = 99
+        try:
+            code = child()
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_process_forked_beside_a_pause_gets_the_collector_back(enabled):
+    """The child inherits the disabled collector but not the thread that
+    paused it; without a reset it would run its whole life (a pool
+    worker's) with the collector off."""
+    with _collector(enabled):
+        with _held_elsewhere(gc_paused()):
+            code = _fork(lambda: int(gc.isenabled()))
+        assert gc.isenabled() is enabled
+    assert code == int(enabled)
+
+
+def test_fork_inside_a_pause_keeps_the_forking_threads_share():
+    """The forking thread is still inside its pause in the child: the
+    collector stays off there until that pause exits, and then comes
+    back on, whatever other threads held in the parent."""
+    pause = gc_paused()
+
+    def child():
+        inside = gc.isenabled()
+        pause.__exit__(None, None, None)
+        return 2 * inside + gc.isenabled()
+
+    with _collector(True):
+        with _held_elsewhere(gc_paused()):
+            pause.__enter__()
+            try:
+                code = _fork(child)
+            finally:
+                pause.__exit__(None, None, None)
+        assert gc.isenabled()
+    assert code == 1
+
+
+def test_fork_while_another_thread_holds_the_pause_lock():
+    """A fork can land while another thread holds the pause's lock; the
+    child must not wait forever for a thread it does not have."""
+
+    def child():
+        signal.alarm(30)  # a deadlocked child dies instead of hanging
+        with gc_paused():
+            pass
+        return 0
+
+    with _held_elsewhere(gcpause._lock):
+        code = _fork(child)
+    assert code == 0
 
 
 def _gated(name, gate):
