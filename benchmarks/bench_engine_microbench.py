@@ -1,10 +1,11 @@
-"""Engine microbenchmark: DES fast path, memoization, matching, sweeps,
-and the paper-scale replay tiers.
+"""Engine microbenchmark: DES fast path, matching, sweeps, and the
+paper-scale replay tiers.
 
 Quantifies the performance work on the simulation engine itself (not a
 paper figure): event throughput of the run-queue fast path versus the
-pure-heap reference engine, the per-run phase-cost cache, the combined
-effect on a full-node tiny sweep, and — with ``-m paperscale`` — full
+pure-heap reference engine, the combined effect of the optimized engine,
+repeat deduplication and the worker pool on a full-node tiny sweep, and
+— with ``-m paperscale`` — full
 64-node jobs (the scale of the paper's Figs. 5-6) comparing the
 optimized engine (indexed matching + steady-state fast-forward + the
 wavefront level-set tier) against the pre-PR reference flags.  Run with
@@ -114,45 +115,16 @@ def test_des_event_throughput(benchmark):
     assert fs.heap_pushes < 0.5 * rs.heap_pushes
 
 
-def test_memoized_single_run(benchmark):
-    cluster = get_cluster("ClusterA")
-    bench = get_benchmark("pot3d")
-    n = cluster.node.cores
-
-    def compare():
-        run(bench, cluster, n)  # warm caches/allocators
-        t_fast = min(
-            _timed(lambda: run(bench, cluster, n))[0] for _ in range(3)
-        )
-        fast = run(bench, cluster, n)
-        t_ref = min(
-            _timed(
-                lambda: run(bench, cluster, n, fast_path=False, memoize=False)
-            )[0]
-            for _ in range(3)
-        )
-        ref = run(bench, cluster, n, fast_path=False, memoize=False)
-        return fast, t_fast, ref, t_ref
-
-    fast, t_fast, ref, t_ref = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
-    print()
-    print(f"pot3d full node: optimized {t_fast * 1e3:.1f} ms, "
-          f"reference {t_ref * 1e3:.1f} ms "
-          f"({t_ref / t_fast:.2f}x)")
-    assert fast == ref  # bit-identical results
-
-
 def test_full_node_sweep_speedup(benchmark):
     """Acceptance target: >= 3x on a full-node tiny sweep with repeats
     for at least one bandwidth-bound code (pot3d / tealeaf).
 
-    Optimized = fast path + memoization + repeat deduplication + worker
-    pool; reference = pure-heap engine, no cache, every repeat simulated,
-    serial.  With ``noise_sigma == 0`` the repeats are provably identical,
-    so the dedup factor (x repeats) is exact, and the worker pool adds
-    whatever the host's cores allow on top.
+    Optimized = production engine + repeat deduplication + worker pool;
+    reference = the pre-PR flags (linear matcher, both replay tiers off),
+    every repeat simulated, serial.  With ``noise_sigma == 0`` the
+    repeats are provably identical, so the dedup factor (x repeats) is
+    exact, and the worker pool adds whatever the host's cores allow on
+    top.
     """
     cluster = get_cluster("ClusterA")
     dom = cluster.node.cores_per_domain
@@ -174,8 +146,7 @@ def test_full_node_sweep_speedup(benchmark):
         ))
         t_ref, ref = timed(lambda: scaling_sweep(
             bench, cluster, counts, repeats=repeats, noise_sigma=0.0,
-            workers=1, fast_path=False, memoize=False,
-            reuse_identical_repeats=False,
+            workers=1, reuse_identical_repeats=False, **PRE_PR_FLAGS,
         ))
         assert opt == ref  # field-for-field identical series
         return t_opt, t_ref
@@ -195,7 +166,7 @@ def test_full_node_sweep_speedup(benchmark):
     ]
     print()
     print(ascii_table(
-        ["benchmark", "optimized [s]", "serial/unmemoized [s]", "speedup"],
+        ["benchmark", "optimized [s]", "serial/pre-PR flags [s]", "speedup"],
         rows,
         title=f"Full-node tiny sweep {counts} x {repeats} repeats "
         f"(workers={WORKERS})",
@@ -228,8 +199,6 @@ def test_fast_engine_equivalence_smoke(benchmark, perf_records):
         dict(fast_forward=False),           # forces the wavefront tier
         dict(fast_forward=False, wavefront=False),
         dict(matcher="linear"),
-        dict(fast_path=False),
-        dict(memoize=False),
     ):
         single = run(bench, cluster, n, sim_steps=steps, **flag)
         assert _identical(fast, single), f"divergence under {flag}"

@@ -717,14 +717,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     failures: list[str] = []
     rows = []
 
-    if not args.skip_differential:
-        # the scheduler axis lives below MPI (BandwidthResource), so it
-        # is checked once per invocation, not per benchmark
-        from repro.validate.differential import bandwidth_scheduler_differential
-
-        for mm in bandwidth_scheduler_differential():
-            failures.append(f"scheduler {mm.kind}: {mm.detail}")
-
     if not args.skip_prediction:
         # one pass over the whole golden corpus (the tiers answer every
         # benchmark from a single profile, so this is not per-benchmark)
@@ -816,7 +808,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(ascii_table(
         ["benchmark", "cluster", "ranks", "golden", "perturb", "differential"],
         rows,
-        title=f"validation ({args.shuffles} shuffles, full flag matrix)",
+        title=(f"validation ({args.shuffles} shuffles, "
+               "matcher x replay-tier matrix)"),
     ))
     if failures:
         print(f"\n{len(failures)} failure(s):")

@@ -104,8 +104,6 @@ class RunSpec:
     seed: int = 0
     trace: bool = False
     threads_per_rank: int = 1
-    fast_path: bool = True
-    memoize: bool = True
     matcher: str = "indexed"
     fast_forward: bool = True
     wavefront: bool = True
@@ -145,8 +143,6 @@ def execute(spec: RunSpec) -> RunResult:
         noise_sigma=spec.noise_sigma,
         seed=spec.seed,
         threads_per_rank=spec.threads_per_rank,
-        fast_path=spec.fast_path,
-        memoize=spec.memoize,
         matcher=spec.matcher,
         fast_forward=spec.fast_forward,
         wavefront=spec.wavefront,

@@ -64,8 +64,6 @@ def run(
     noise_sigma: float = 0.0,
     seed: int = 0,
     threads_per_rank: int = 1,
-    fast_path: bool = True,
-    memoize: bool = True,
     matcher: str = "indexed",
     fast_forward: bool = True,
     wavefront: bool = True,
@@ -99,11 +97,6 @@ def run(
         > 1 runs the hybrid MPI+OpenMP variant (the paper's future-work
         mode): each rank's kernels are shared by that many cores and the
         rank is pinned to a core block.
-    fast_path / memoize:
-        Disable the DES run-queue fast path / the per-run phase-cost
-        cache.  Results are bit-identical either way; the slow flavors
-        exist as the reference for equivalence tests and the engine
-        microbenchmark.
     matcher:
         Message-matching implementation: ``"indexed"`` (default, O(1)
         amortized) or ``"linear"`` (the original O(pending) scan kept as
@@ -194,7 +187,6 @@ def run(
         sim_steps=steps,
         noise=noise,
         threads=threads_per_rank,
-        memoize=memoize,
     )
     # trace=True keeps every interval; trace="streaming" keeps bounded
     # per-rank aggregates only (paper-scale tracing)
@@ -214,8 +206,7 @@ def run(
 
     # shared tier gating: full fidelity is forced (no controller)
     # whenever anything can perturb or observe individual steps — noise,
-    # faults, tracing, invariants, perturbation, or an un-memoized
-    # (generation-less) pricing model
+    # faults, tracing, invariants, perturbation — or no step is left
     from repro.spechpc.fastforward import (
         PAPER_SCALE_RANKS,
         FastForwardController,
@@ -228,12 +219,11 @@ def run(
         trace=collector,
         checker=checker,
         perturb_seed=perturb_seed,
-        memoize=memoize,
         sim_steps=steps,
     )
     tier_active = tier_declined is None and (fast_forward or wavefront)
     # light-machinery hint: a structurally ineligible small run skips the
-    # matching-stamp and virtual-clock bookkeeping nothing will consume
+    # matching-stamp bookkeeping nothing will consume
     light = (
         not tier_active and nprocs < PAPER_SCALE_RANKS and perturb_seed is None
     )
@@ -242,7 +232,6 @@ def run(
         nprocs,
         trace=collector,
         threads_per_rank=threads_per_rank,
-        fast_path=fast_path,
         faults=injector,
         matcher=matcher,
         perturb_seed=perturb_seed,

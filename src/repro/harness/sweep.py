@@ -23,8 +23,6 @@ def scaling_sweep(
     sim_steps: Optional[int] = None,
     workers: int = 1,
     reuse_identical_repeats: bool = True,
-    fast_path: bool = True,
-    memoize: bool = True,
     matcher: str = "indexed",
     fast_forward: bool = True,
     wavefront: bool = True,
@@ -93,8 +91,8 @@ def scaling_sweep(
             tier=tier, corpus=corpus, tolerate_failures=tolerate_failures,
             des_kwargs=dict(
                 sim_steps=sim_steps, noise_sigma=noise_sigma,
-                fast_path=fast_path, memoize=memoize, matcher=matcher,
-                fast_forward=fast_forward, wavefront=wavefront,
+                matcher=matcher, fast_forward=fast_forward,
+                wavefront=wavefront,
                 faults=faults, max_events=max_events,
                 sim_time_limit=sim_time_limit,
             ),
@@ -109,8 +107,6 @@ def scaling_sweep(
             sim_steps=sim_steps,
             noise_sigma=noise_sigma,
             seed=1000 * n + rep,
-            fast_path=fast_path,
-            memoize=memoize,
             matcher=matcher,
             fast_forward=fast_forward,
             wavefront=wavefront,

@@ -3,8 +3,7 @@
 Engine-health counters have accumulated in several places over the
 repo's life: :class:`~repro.des.simulator.SimStats` (event/heap/run-queue
 throughput), the per-rank :class:`~repro.smpi.mailbox.Mailbox` queues,
-:class:`~repro.des.resources.BandwidthResource` flow state, the
-:class:`~repro.faults.injector.FaultInjector` plan, and the
+the :class:`~repro.faults.injector.FaultInjector` plan, and the
 :class:`~repro.perfmon.trace.TraceCollector` interval count.  This
 module gathers them behind one :class:`MetricsRegistry`:
 
@@ -127,15 +126,6 @@ def trace_metrics(trace: Any) -> dict[str, float]:
         "intervals_recorded": len(trace),
         "intervals_retained": len(trace.intervals),
         "streaming": int(bool(getattr(trace, "streaming", False))),
-    }
-
-
-def bandwidth_metrics(resource: Any) -> dict[str, float]:
-    """Flow state of a :class:`~repro.des.resources.BandwidthResource`."""
-    return {
-        "capacity": resource.capacity,
-        "active_flows": resource.active_flows,
-        "current_rate": resource.current_rate,
     }
 
 

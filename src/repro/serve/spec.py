@@ -9,7 +9,7 @@ encodings, schema stamp).  Two requests collide iff a direct
 :func:`repro.harness.runner.run` would produce bit-identical results
 for both.
 
-Engine-mode flags (``fast_path``, ``matcher``, ...) are deliberately
+Engine-mode flags (``matcher``, ``fast_forward``, ...) are deliberately
 *not* part of the identity: the validation subsystem proves all engine
 modes bit-identical, so they select an implementation, not a result.
 Fields that do change results — benchmark, cluster, scale, suite,

@@ -140,7 +140,6 @@ class MpiRuntime:
         nprocs: int,
         trace: TraceLike | None = None,
         threads_per_rank: int = 1,
-        fast_path: bool = True,
         faults: Any | None = None,
         matcher: str = "indexed",
         perturb_seed: int | None = None,
@@ -150,8 +149,6 @@ class MpiRuntime:
         """``threads_per_rank > 1`` reserves a block of consecutive cores
         per rank (hybrid MPI+OpenMP placement, the paper's future-work
         mode); rank *r* is pinned to core ``r * threads_per_rank``.
-        ``fast_path=False`` runs the pure-heap reference engine (see
-        :class:`~repro.des.simulator.Simulator`).
 
         ``faults`` optionally attaches a
         :class:`~repro.faults.injector.FaultInjector`: point-to-point
@@ -191,7 +188,7 @@ class MpiRuntime:
         self.nprocs = nprocs
         self.threads_per_rank = threads_per_rank
         self.nnodes = cluster.nodes_for(nprocs * threads_per_rank)
-        self.sim = Simulator(fast_path=fast_path, tie_seed=perturb_seed)
+        self.sim = Simulator(tie_seed=perturb_seed)
         self.trace = trace
         self.faults = faults
         self.perturb_seed = perturb_seed

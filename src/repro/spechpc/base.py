@@ -134,11 +134,9 @@ class RunContext:
     ``threads`` > 1 switches the kernel pricing to the hybrid MPI+OpenMP
     model (each rank's work is shared by that many cores).
 
-    ``memoize`` (default on) wraps the execution model in a per-run
+    The execution model is wrapped in a per-run
     :class:`~repro.model.execution.MemoizedExecutionModel`, so identical
     ``phase_cost`` queries across ranks and steps are priced once.
-    Results are bit-identical either way; ``memoize=False`` re-evaluates
-    every query (the reference path for equivalence tests).
     """
 
     cluster: ClusterSpec
@@ -149,7 +147,6 @@ class RunContext:
     noise: np.ndarray | None = None   # per-rank compute slowdown factors
     runtime: MpiRuntime | None = None
     threads: int = 1
-    memoize: bool = True
     #: optional steady-state fast-forward controller (set by the harness
     #: for eligible runs; see :mod:`repro.spechpc.fastforward`)
     fast_forward: object | None = field(default=None, repr=False)
@@ -167,9 +164,8 @@ class RunContext:
             base = self.exec_model
             threads = self.threads
             self.exec_model = _HybridModelProxy(base, threads)  # type: ignore
-        if self.memoize:
-            # wrap outermost so hybrid-repriced costs are cached too
-            self.exec_model = MemoizedExecutionModel(self.exec_model)  # type: ignore
+        # wrap outermost so hybrid-repriced costs are cached too
+        self.exec_model = MemoizedExecutionModel(self.exec_model)  # type: ignore
 
     def noise_factor(self, rank: int) -> float:
         if self.noise is None:
@@ -179,12 +175,10 @@ class RunContext:
     def stretched_cost(self, cost: PhaseCost, factor: float) -> PhaseCost:
         """``cost`` with its duration stretched by a rank's noise factor.
 
-        Stretched variants are cached per (cost, factor) when memoization
-        is on — noise factors are per-rank constants for a run, so each
-        rank's steady-state steps reuse one stretched object.
+        Stretched variants are cached per (cost, factor) — noise factors
+        are per-rank constants for a run, so each rank's steady-state
+        steps reuse one stretched object.
         """
-        if not self.memoize:
-            return self._stretch(cost, factor)
         key = (cost, factor)
         hit = self._stretch_cache.get(key)
         if hit is None:

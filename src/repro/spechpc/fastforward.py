@@ -43,11 +43,10 @@ Protocol (driven by :class:`StepLoop` at step boundaries)
   untouched ("go") and disables fast-forward for the run.
 
 Fidelity is forced (the controller is never created) for runs with
-noise, fault injection, tracing, ``memoize=False``, or
-``fast_forward=False`` — those simulate every step as before.  The
-shared gating lives in :func:`replay_ineligibility` so the runner and
-the wavefront tier (:mod:`repro.spechpc.wavefront`) apply exactly the
-same rules.
+noise, fault injection, tracing, or ``fast_forward=False`` — those
+simulate every step as before.  The shared gating lives in
+:func:`replay_ineligibility` so the runner and the wavefront tier
+(:mod:`repro.spechpc.wavefront`) apply exactly the same rules.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ def replay_ineligibility(
     trace: Any = None,
     checker: Any = None,
     perturb_seed: Optional[int] = None,
-    memoize: bool = True,
     sim_steps: int = 0,
 ) -> Optional[tuple[str, str]]:
     """Why a run can never engage a replay tier, or ``None`` if it may.
@@ -90,8 +88,8 @@ def replay_ineligibility(
     This is the single source of truth for the *structural* gating shared
     by the steady-state fast-forward and the wavefront tier: anything
     that perturbs or observes individual steps (noise, faults, tracing,
-    invariant checking, schedule perturbation, un-memoized pricing) or
-    leaves no step to skip forces full fidelity.  Returns a
+    invariant checking, schedule perturbation) or leaves no step to skip
+    forces full fidelity.  Returns a
     ``(code, reason)`` pair — the code is a stable slug used for the
     ``wavefront.declined.<code>`` metric.
     """
@@ -105,8 +103,6 @@ def replay_ineligibility(
         return ("invariants", "invariant checking observes every event")
     if perturb_seed is not None:
         return ("perturb", "schedule perturbation forbids fixed tie-breaks")
-    if not memoize:
-        return ("nomemo", "un-memoized pricing has no stable generation")
     if sim_steps < FastForwardController.PARK + 1:
         return ("steps", "no steps left after the recording prologue")
     return None

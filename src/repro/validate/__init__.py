@@ -12,10 +12,9 @@ alter simulated results it should not have?*
   job under seeded same-timestamp shuffles and asserts the fingerprint
   does not move (a well-formed model is invariant under every legal
   schedule).
-* :mod:`repro.validate.differential` — runs the full engine flag matrix
-  (fast path × matcher × memoization × fast-forward × workers) and
-  diffs complete traces; the fast flavors must be bit-identical to the
-  references.
+* :mod:`repro.validate.differential` — runs the engine flag matrix
+  (matcher × replay tier × workers) and diffs complete traces; the fast
+  flavors must be bit-identical to the references.
 * :mod:`repro.validate.prediction` — holds every :mod:`repro.predict`
   tier to its own stated error band against DES ground truth (golden
   corpus + fresh interpolation holdouts).

@@ -1,35 +1,32 @@
 """Cross-mode differential conformance.
 
 The engine carries several "same answer, different algorithm" pairs: the
-DES run-queue fast path vs the pure heap, the indexed mailbox matcher vs
-the linear scan, the memoized pricing model vs fresh pricing, the
-steady-state fast-forward vs full stepping, and the parallel sweep
-executor vs the serial loop.  Every pair claims bit-identical results;
-this module is where that claim is *checked* rather than assumed.
+indexed mailbox matcher vs the linear scan, the steady-state
+fast-forward and the wavefront replay tier vs full stepping, and the
+parallel sweep executor vs the serial loop.  Every pair claims
+bit-identical results; this module is where that claim is *checked*
+rather than assumed.  (The DES run-queue fast path is held to the
+pure-heap engine by the engine-level tests and, at run level, by the
+schedule-perturbation sanitizer, which always runs pure-heap; the
+per-run phase-cost cache is held to fresh pricing by a model-level
+property test.)
 
 :func:`differential_run` executes one job in every mode of the flag
-matrix (24 = fast_path × matcher × memoize × replay tier, the tier being
-off / fast-forward / fast-forward+wavefront) plus a workers>1 sweep,
-fingerprints each (see :mod:`repro.validate.golden`), and — for the
-trace-compatible subset — diffs complete event timelines against the
-all-reference mode, reporting the first mismatching trace record with
-its mode, rank, time, and kind.  (The fourth tier combination — the
-wavefront tier *forced* with the synchronized tier disabled — is covered
-by the golden-corpus test in ``tests/test_wavefront.py``.)
-
-:func:`bandwidth_scheduler_differential` covers the one deliberately
-*non*-bitwise pair: the two :class:`~repro.des.resources.
-BandwidthResource` schedulers implement the same max-min fair-sharing
-fluid model with different arithmetic, so completion *order* must agree
-exactly while completion *times* agree to a relative tolerance.
+matrix (6 = matcher × replay tier, the tier being off / fast-forward /
+fast-forward+wavefront) plus a workers>1 sweep, fingerprints each (see
+:mod:`repro.validate.golden`), and — for the trace-compatible subset —
+diffs complete event timelines against the all-reference mode,
+reporting the first mismatching trace record with its mode, rank, time,
+and kind.  (The fourth tier combination — the wavefront tier *forced*
+with the synchronized tier disabled — is covered by the golden-corpus
+test in ``tests/test_wavefront.py``.)
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from repro.machine.cluster import ClusterSpec
@@ -39,11 +36,10 @@ from repro.validate.golden import fingerprint, record_diff
 
 @dataclass(frozen=True)
 class Mode:
-    """One engine configuration of the flag matrix."""
+    """One engine configuration of the flag matrix (its fields are the
+    :func:`~repro.harness.runner.run` keyword arguments)."""
 
-    fast_path: bool
     matcher: str
-    memoize: bool
     fast_forward: bool
     wavefront: bool = False
 
@@ -53,20 +49,15 @@ class Mode:
             "wf" if self.wavefront
             else ("ff" if self.fast_forward else "noff")
         )
-        return (
-            f"{'fastpath' if self.fast_path else 'heap'}"
-            f"+{self.matcher}"
-            f"+{'memo' if self.memoize else 'nomemo'}"
-            f"+{tier}"
-        )
+        return f"{self.matcher}+{tier}"
 
 
-#: The all-reference mode every other mode is diffed against: pure heap,
-#: linear matcher, fresh pricing, full stepping.
-REFERENCE_MODE = Mode(
-    fast_path=False, matcher="linear", memoize=False, fast_forward=False,
-    wavefront=False,
-)
+#: The all-reference mode every other mode is diffed against: linear
+#: matcher, full stepping.
+REFERENCE_MODE = Mode(matcher="linear", fast_forward=False, wavefront=False)
+
+#: The production default.
+DEFAULT_MODE = Mode(matcher="indexed", fast_forward=True, wavefront=True)
 
 #: Replay-tier axis of the matrix: tier off, synchronized fast-forward,
 #: fast-forward with the wavefront tier on top (the production default).
@@ -74,15 +65,11 @@ _TIERS = ((False, False), (True, False), (True, True))
 
 
 def flag_matrix() -> list[Mode]:
-    """All 24 engine modes, reference first."""
-    modes = [
-        Mode(fast_path=fp, matcher=m, memoize=mz, fast_forward=ff, wavefront=wf)
-        for fp, m, mz, (ff, wf) in itertools.product(
-            (False, True), ("linear", "indexed"), (False, True), _TIERS
-        )
+    """All 6 engine modes, reference first."""
+    return [
+        Mode(matcher=m, fast_forward=ff, wavefront=wf)
+        for m, (ff, wf) in itertools.product(("linear", "indexed"), _TIERS)
     ]
-    modes.sort(key=lambda m: m != REFERENCE_MODE)  # stable: reference first
-    return modes
 
 
 @dataclass(frozen=True)
@@ -160,7 +147,7 @@ def differential_run(
     """Run one job through the full flag matrix and diff everything
     against the all-reference mode.
 
-    ``trace_diff`` additionally replays the eight fast-forward-off modes
+    ``trace_diff`` additionally replays the two fast-forward-off modes
     with full traces and compares complete timelines (tracing forces the
     fast-forward off, so FF-on modes have no distinct traced flavor).
     ``workers`` adds a ``run_many(workers=2)`` sweep asserting the
@@ -178,9 +165,7 @@ def differential_run(
     results = {
         mode: run(
             bench, clus, nprocs, suite=suite, sim_steps=sim_steps,
-            fast_path=mode.fast_path, matcher=mode.matcher,
-            memoize=mode.memoize, fast_forward=mode.fast_forward,
-            wavefront=mode.wavefront,
+            **asdict(mode),
         )
         for mode in modes
     }
@@ -192,8 +177,7 @@ def differential_run(
         traces = {
             mode: run(
                 bench, clus, nprocs, suite=suite, sim_steps=sim_steps,
-                trace=True, fast_path=mode.fast_path, matcher=mode.matcher,
-                memoize=mode.memoize, fast_forward=False, wavefront=False,
+                trace=True, **asdict(mode),
             ).trace
             for mode in modes
             if not mode.fast_forward and not mode.wavefront
@@ -208,10 +192,7 @@ def differential_run(
             continue
         field = record_diff(ref_fp.record, fp.record) or "<digest only>"
         first = None
-        base_mode = Mode(
-            fast_path=mode.fast_path, matcher=mode.matcher,
-            memoize=mode.memoize, fast_forward=False, wavefront=False,
-        )
+        base_mode = Mode(matcher=mode.matcher, fast_forward=False)
         if base_mode in traces:
             first = _first_trace_diff(traces[REFERENCE_MODE], traces[base_mode])
         mismatches.append(
@@ -243,7 +224,7 @@ def differential_run(
         ] * 2
         pooled = run_many(specs, workers=2)
         nmodes += 1
-        default_fp = fps[Mode(True, "indexed", True, True, True)]
+        default_fp = fps[DEFAULT_MODE]
         for i, res in enumerate(pooled):
             fp = fingerprint(res)
             if fp != default_fp:
@@ -375,125 +356,6 @@ def observability_differential(
         golden_digest=golden_digest,
         mismatches=tuple(mismatches),
     )
-
-
-# --- bandwidth-scheduler differential ---------------------------------------
-
-
-@dataclass(frozen=True)
-class SchedulerMismatch:
-    """One flow whose outcome differs across the two schedulers."""
-
-    flow: int
-    kind: str  # "order" or "time"
-    detail: str
-
-
-def bandwidth_scheduler_differential(
-    flows: int = 64,
-    seed: int = 0,
-    capacity: float = 12.5e9,
-    rel_tol: float = 1e-9,
-) -> list[SchedulerMismatch]:
-    """Drive both :class:`~repro.des.resources.BandwidthResource`
-    schedulers with the same seeded random flow pattern and compare.
-
-    The schedulers share one fluid model but integrate it differently
-    (virtual clock vs lazy re-walk), so floating-point association
-    differs: completion *order* must match exactly, completion *times*
-    to ``rel_tol`` relative.  The virtual clock's ``light`` solo-flow
-    fast path claims *bitwise* identity with the full bookkeeping, so it
-    is additionally compared against plain virtual-clock exactly.
-    Returns the mismatches (empty = conformant).
-    """
-    from repro.des.resources import BandwidthResource
-    from repro.des.simulator import Delay, Simulator
-
-    rng = random.Random(seed)
-    pattern = [
-        (rng.uniform(0.0, 1.0), rng.uniform(1e6, 4e9)) for _ in range(flows)
-    ]
-
-    def drive(scheduler: str, light: bool = False) -> list[tuple[int, float]]:
-        sim = Simulator(fast_path=False)
-        nic = BandwidthResource(
-            sim, capacity=capacity, scheduler=scheduler, light=light
-        )
-        done: list[tuple[int, float]] = []
-
-        def flow_body(i: int, start: float, amount: float):
-            def body():
-                if start > 0.0:
-                    yield Delay(start)
-                yield nic.transfer(amount)
-                done.append((i, sim.now))
-
-            return body
-
-        for i, (start, amount) in enumerate(pattern):
-            sim.spawn(f"flow-{i}", flow_body(i, start, amount)())
-        sim.run()
-        return done
-
-    vclock = drive("virtual-clock")
-    vlight = drive("virtual-clock", light=True)
-    reference = drive("reference")
-
-    mismatches: list[SchedulerMismatch] = []
-    if vlight != vclock:
-        first = next(
-            (
-                (a, b) for a, b in zip(vclock, vlight) if a != b
-            ),
-            ((-1, 0.0), (-1, 0.0)),
-        )
-        mismatches.append(
-            SchedulerMismatch(
-                flow=first[0][0],
-                kind="light",
-                detail=(
-                    "light solo fast path is not bitwise identical to "
-                    f"virtual-clock: {first[1]!r} vs {first[0]!r} "
-                    f"({len(vlight)} vs {len(vclock)} completions)"
-                ),
-            )
-        )
-    for (iv, tv), (ir, tr) in zip(vclock, reference):
-        if iv != ir:
-            mismatches.append(
-                SchedulerMismatch(
-                    flow=iv,
-                    kind="order",
-                    detail=(
-                        f"virtual-clock completed flow {iv} where reference "
-                        f"completed flow {ir}"
-                    ),
-                )
-            )
-            break  # order mismatch cascades; one report is enough
-        denom = max(abs(tv), abs(tr), 1e-30)
-        if abs(tv - tr) / denom > rel_tol:
-            mismatches.append(
-                SchedulerMismatch(
-                    flow=iv,
-                    kind="time",
-                    detail=(
-                        f"flow {iv}: virtual-clock t={tv!r} vs reference "
-                        f"t={tr!r} (rel err {abs(tv - tr) / denom:.3g})"
-                    ),
-                )
-            )
-    if len(vclock) != len(reference):
-        mismatches.append(
-            SchedulerMismatch(
-                flow=-1,
-                kind="order",
-                detail=(
-                    f"{len(vclock)} vs {len(reference)} completed flows"
-                ),
-            )
-        )
-    return mismatches
 
 
 # --- executor differential --------------------------------------------------

@@ -1,24 +1,18 @@
 """Differential tests for the paper-scale engine optimizations.
 
 Every fast path added for paper-scale runs (indexed message matching,
-virtual-clock bandwidth sharing, steady-state fast-forward, streaming
-trace aggregation) ships with a reference mode; these tests drive both
-implementations through the same randomized or benchmark workloads and
-demand equivalent behavior — bitwise-equal where the contract is
-bitwise (matching order, fast-forward statistics), order/value-equal
-where the schedulers use different but equivalent arithmetic.
+steady-state fast-forward, streaming trace aggregation) ships with a
+reference mode; these tests drive both implementations through the
+same randomized or benchmark workloads and demand bitwise-equal
+behavior (matching order, fast-forward statistics).
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Simulator
-from repro.des.resources import BandwidthResource
 from repro.faults.plan import FaultPlan, SlowRank
 from repro.harness import run
 from repro.machine import CLUSTER_A
@@ -109,83 +103,10 @@ def test_wildcard_posts_compete_by_stamp_order():
 
 
 # --------------------------------------------------------------------------
-# virtual-clock vs. reference bandwidth sharing
-# --------------------------------------------------------------------------
-
-_flows = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=5.0),    # start delay
-        st.floats(min_value=0.1, max_value=100.0),  # amount
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-def _share(scheduler: str, flows) -> list[tuple[int, float]]:
-    """Finish (flow_index, time) pairs in completion order."""
-    sim = Simulator()
-    res = BandwidthResource(sim, capacity=10.0, scheduler=scheduler)
-    finished: list[tuple[int, float]] = []
-
-    def user(i, start, amount):
-        from repro.des import Delay
-
-        if start > 0:
-            yield Delay(start)
-        yield res.transfer(amount)
-        finished.append((i, sim.now))
-
-    for i, (start, amount) in enumerate(flows):
-        sim.spawn(f"flow{i}", user(i, start, amount))
-    sim.run()
-    return finished
-
-
-@settings(max_examples=150, deadline=None)
-@given(_flows)
-def test_virtual_clock_matches_reference_sharing(flows):
-    """Same completion order and (to float noise) same completion times
-    for arbitrary overlapping flow sets."""
-    vc = _share("virtual-clock", flows)
-    ref = _share("reference", flows)
-    assert [i for i, _ in vc] == [i for i, _ in ref]
-    for (_, t_vc), (_, t_ref) in zip(vc, ref):
-        assert math.isclose(t_vc, t_ref, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def test_bandwidth_epoch_guard_ignores_stale_callbacks():
-    """A rebalance between scheduling and firing a completion must void
-    the stale callback (epoch token, not float time comparison)."""
-    sim = Simulator()
-    res = BandwidthResource(sim, capacity=1.0)
-    done = []
-
-    def first():
-        yield res.transfer(1.0)
-        done.append(("first", sim.now))
-
-    def second():
-        from repro.des import Delay
-
-        yield Delay(0.5)           # rebalances mid-flight of ``first``
-        yield res.transfer(1.0)
-        done.append(("second", sim.now))
-
-    sim.spawn("a", first())
-    sim.spawn("b", second())
-    sim.run()
-    # fair sharing: first gets 0.5 exclusive + shares until 1.5, second
-    # finishes its remaining 0.5 exclusively at 2.0
-    assert done[0][0] == "first" and math.isclose(done[0][1], 1.5)
-    assert done[1][0] == "second" and math.isclose(done[1][1], 2.0)
-
-
-# --------------------------------------------------------------------------
 # steady-state fast-forward
 # --------------------------------------------------------------------------
 
-_REF = dict(fast_forward=False, matcher="linear", fast_path=False, memoize=False)
+_REF = dict(fast_forward=False, wavefront=False, matcher="linear")
 
 
 def _fields(r):
@@ -222,14 +143,14 @@ def test_fast_forward_ineligible_structure_falls_back():
     [
         dict(fast_forward=False),
         dict(matcher="linear"),
-        dict(fast_path=False),
-        dict(memoize=False),
+        dict(perturb_seed=0),
     ],
     ids=lambda f: next(iter(f)),
 )
 def test_reference_flags_independently_bit_identical(flags):
     """Each reference flag alone restores the old code path and must not
-    change a single bit of the result."""
+    change a single bit of the result (``perturb_seed`` runs the
+    pure-heap engine with every replay tier off)."""
     bench = get_benchmark("lbm")
     fast = run(bench, CLUSTER_A, 24, sim_steps=10)
     ref = run(bench, CLUSTER_A, 24, sim_steps=10, **flags)
@@ -242,11 +163,11 @@ def test_reference_flags_independently_bit_identical(flags):
         dict(noise_sigma=0.02),
         dict(trace=True),
         dict(trace="streaming"),
-        dict(memoize=False),
+        dict(perturb_seed=0),
         dict(sim_steps=4),
         dict(faults=FaultPlan(slow_ranks=(SlowRank(rank=1, factor=2.0),))),
     ],
-    ids=["noise", "trace", "streaming-trace", "no-memoize", "short", "faults"],
+    ids=["noise", "trace", "streaming-trace", "perturb", "short", "faults"],
 )
 def test_fast_forward_forced_off(kwargs):
     """Anything that perturbs or observes individual steps forces full

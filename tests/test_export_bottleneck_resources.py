@@ -1,13 +1,11 @@
-"""Tests for result export, bottleneck diagnosis, the fluid bandwidth
-resource, and the extended collectives."""
+"""Tests for result export, bottleneck diagnosis, and the extended
+collectives."""
 
 import json
 
 import pytest
 
 from repro.analysis.bottleneck import diagnose
-from repro.des import Delay, Simulator
-from repro.des.resources import BandwidthResource
 from repro.harness import run, scaling_sweep
 from repro.harness.export import (
     CSV_FIELDS,
@@ -85,101 +83,6 @@ def test_diagnose_reduction_heavy():
     )
     assert d.dominant_mpi == "MPI_Allreduce"
     assert "reduction heavy" in d.labels
-
-
-# --- bandwidth resource ---------------------------------------------------------------
-
-
-def test_bandwidth_resource_single_flow():
-    sim = Simulator()
-    res = BandwidthResource(sim, capacity=10.0)
-
-    def body():
-        yield res.transfer(5.0)
-
-    sim.spawn("p", body())
-    assert sim.run() == pytest.approx(0.5)
-
-
-def test_bandwidth_resource_fair_sharing():
-    """Two equal flows through a shared link take twice as long."""
-    sim = Simulator()
-    res = BandwidthResource(sim, capacity=10.0)
-    finish = {}
-
-    def body(name):
-        yield res.transfer(5.0)
-        finish[name] = sim.now
-
-    sim.spawn("a", body("a"))
-    sim.spawn("b", body("b"))
-    sim.run()
-    assert finish["a"] == pytest.approx(1.0)
-    assert finish["b"] == pytest.approx(1.0)
-
-
-def test_bandwidth_resource_rebalances_on_exit():
-    """A short flow leaves; the long flow speeds back up:
-    long = 10 units: shares 5/s while short (2.5 units) runs (0.5 s ->
-    2.5 done), then full 10/s for the rest (7.5 / 10 = 0.75 s)."""
-    sim = Simulator()
-    res = BandwidthResource(sim, capacity=10.0)
-    finish = {}
-
-    def body(name, amount):
-        yield res.transfer(amount)
-        finish[name] = sim.now
-
-    sim.spawn("short", body("short", 2.5))
-    sim.spawn("long", body("long", 10.0))
-    sim.run()
-    assert finish["short"] == pytest.approx(0.5)
-    assert finish["long"] == pytest.approx(1.25)
-
-
-def test_bandwidth_resource_staggered_entry():
-    """A flow entering midway slows the first one down."""
-    sim = Simulator()
-    res = BandwidthResource(sim, capacity=10.0)
-    finish = {}
-
-    def first():
-        yield res.transfer(10.0)
-        finish["first"] = sim.now
-
-    def second():
-        yield Delay(0.5)
-        yield res.transfer(5.0)
-        finish["second"] = sim.now
-
-    sim.spawn("f", first())
-    sim.spawn("s", second())
-    sim.run()
-    # first: 5 units in 0.5 s alone, then shares: both need 5 units at
-    # 5/s -> 1 more second
-    assert finish["first"] == pytest.approx(1.5)
-    assert finish["second"] == pytest.approx(1.5)
-
-
-def test_bandwidth_resource_zero_transfer():
-    sim = Simulator()
-    res = BandwidthResource(sim, capacity=1.0)
-
-    def body():
-        yield res.transfer(0.0)
-
-    sim.spawn("p", body())
-    assert sim.run() == 0.0
-
-
-def test_bandwidth_resource_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        BandwidthResource(sim, capacity=0.0)
-    res = BandwidthResource(sim, capacity=1.0)
-    with pytest.raises(ValueError):
-        list(res.transfer(-1.0))
-    assert res.current_rate() == 1.0
 
 
 # --- extended collectives ------------------------------------------------------------

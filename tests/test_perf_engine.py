@@ -3,7 +3,8 @@
 The optimizations must be invisible in the results: every test here pins
 the optimized paths (run-queue fast path, phase-cost memoization, process
 -pool sweeps, repeat deduplication) against the reference flavors
-(``fast_path=False``, ``memoize=False``, ``workers=1``,
+(``Simulator(fast_path=False)``, a fresh ``ExecutionModel``, a
+``perturb_seed`` run on the pure-heap engine, ``workers=1``,
 ``reuse_identical_repeats=False``) and demands *bit-identical* output.
 """
 
@@ -11,14 +12,18 @@ import gc
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Delay, Signal, SimStats, Simulator, Wait
 from repro.harness import RunSpec, run, run_many, scaling_sweep
 from repro.harness.parallel import execute
 from repro.machine import CLUSTER_A, CLUSTER_B
+from repro.model.dvfs import frequency_grid
 from repro.model.execution import ExecutionModel, MemoizedExecutionModel
 from repro.model.kernel import KernelModel
 from repro.spechpc import get_benchmark
+from repro.spechpc.base import RunContext, _HybridModelProxy
 
 ALL_BENCH_NAMES = (
     "lbm", "soma", "tealeaf", "cloverleaf", "minisweep",
@@ -254,13 +259,89 @@ def test_memoized_model_caches_by_value():
     assert model.saturation_cores() == counting.saturation_cores()
 
 
+_KERNEL_BASE = dict(
+    simd_fraction=0.8, l3_bytes_per_unit=96.0, l2_bytes_per_unit=128.0,
+    working_set_bytes_per_unit=24.0,
+)
+_STREAM = KernelModel(name="stream", flops_per_unit=2.0,
+                      mem_bytes_per_unit=24.0, **_KERNEL_BASE)
+#: three kernel shapes plus one derived by ``KernelModel.scaled``
+_KERNELS = (
+    _STREAM,
+    KernelModel(name="dense", flops_per_unit=400.0, mem_bytes_per_unit=8.0,
+                heat=1.0, **_KERNEL_BASE),
+    KernelModel(name="cached", flops_per_unit=40.0, mem_bytes_per_unit=64.0,
+                fixed_working_set_bytes=2e6, **_KERNEL_BASE),
+    _STREAM.scaled(2.0),
+)
+_LOW_HZ = frequency_grid(CLUSTER_A)[0]
+
+#: the pricing models a run can wrap: plain, hybrid MPI+OpenMP, re-clocked
+_MODELS = {
+    "plain": lambda: ExecutionModel(CLUSTER_A.node.cpu),
+    "hybrid": lambda: _HybridModelProxy(ExecutionModel(CLUSTER_A.node.cpu), 3),
+    "at_frequency": lambda: ExecutionModel(CLUSTER_A.node.cpu).at_frequency(
+        _LOW_HZ
+    ),
+}
+
+# (kernel, units, ranks_in_domain, penalty) drawn from small pools, so
+# sequences repeat and interleave keys
+_queries = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=len(_KERNELS) - 1),
+        st.sampled_from((1.0, 3.5e4, 1e6, 2.5e7)),
+        st.integers(min_value=1, max_value=CLUSTER_A.node.cores_per_domain),
+        st.sampled_from((1.0, 1.03, 1.25)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(queries=_queries)
+def test_memoized_model_equals_fresh_pricing(model, queries):
+    """Any query sequence: the per-run cache returns exactly what a fresh
+    model prices, and misses exactly once per distinct key."""
+    make = _MODELS[model]
+    memo = MemoizedExecutionModel(make())
+    for k, units, rid, penalty in queries:
+        kernel = _KERNELS[k]
+        got = memo.phase_cost(kernel, units, rid, penalty)
+        assert got == make().phase_cost(kernel, units, rid, penalty)
+    distinct = {(_KERNELS[k], u, r, p) for k, u, r, p in queries}
+    assert memo.generation == memo.cache_size == len(distinct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    queries=_queries,
+    factors=st.lists(st.sampled_from((1.0, 1.0123, 1.5, 2.0)), min_size=1),
+)
+def test_stretched_cost_equals_fresh_stretch(queries, factors):
+    """The per-run stretch cache returns exactly the uncached stretch."""
+    ctx = RunContext(
+        cluster=CLUSTER_A, nprocs=2,
+        workload=get_benchmark("tealeaf").workload("tiny"),
+        exec_model=ExecutionModel(CLUSTER_A.node.cpu),
+    )
+    for i, (k, units, rid, penalty) in enumerate(queries):
+        cost = ctx.exec_model.phase_cost(_KERNELS[k], units, rid, penalty)
+        f = factors[i % len(factors)]
+        assert ctx.stretched_cost(cost, f) == RunContext._stretch(cost, f)
+
+
 @pytest.mark.parametrize("bench_name", ALL_BENCH_NAMES)
 def test_optimized_run_bit_identical(bench_name):
-    """Fast path + memoization must not change a single output bit."""
+    """The run-queue fast path must not change a single output bit: the
+    production run equals a ``perturb_seed`` run, which executes on the
+    pure-heap engine with every replay tier off."""
     bench = get_benchmark(bench_name)
     for cluster, nprocs in ((CLUSTER_A, 1), (CLUSTER_A, 13), (CLUSTER_B, 7)):
         fast = run(bench, cluster, nprocs)
-        ref = run(bench, cluster, nprocs, fast_path=False, memoize=False)
+        ref = run(bench, cluster, nprocs, perturb_seed=0)
         assert fast == ref
 
 
@@ -269,8 +350,7 @@ def test_optimized_run_bit_identical_with_noise():
     # noise-free and the jittered results still match exactly
     bench = get_benchmark("tealeaf")
     fast = run(bench, CLUSTER_A, 18, noise_sigma=0.02, seed=42)
-    ref = run(bench, CLUSTER_A, 18, noise_sigma=0.02, seed=42,
-              fast_path=False, memoize=False)
+    ref = run(bench, CLUSTER_A, 18, noise_sigma=0.02, seed=42, perturb_seed=0)
     assert fast == ref
 
 
@@ -278,8 +358,7 @@ def test_optimized_run_bit_identical_hybrid():
     # memoization wraps *outside* the hybrid repricing proxy
     bench = get_benchmark("tealeaf")
     fast = run(bench, CLUSTER_A, 6, threads_per_rank=3)
-    ref = run(bench, CLUSTER_A, 6, threads_per_rank=3,
-              fast_path=False, memoize=False)
+    ref = run(bench, CLUSTER_A, 6, threads_per_rank=3, perturb_seed=0)
     assert fast == ref
 
 
@@ -417,8 +496,7 @@ def test_replay_tier_run_leaves_no_cyclic_garbage(bench_name, nprocs, kwargs, ti
         dict(invariants=True),
         dict(noise_sigma=0.05, seed=3),
         dict(perturb_seed=7),
-        dict(fast_path=False, memoize=False, matcher="linear",
-             fast_forward=False, wavefront=False),
+        dict(matcher="linear", fast_forward=False, wavefront=False),
     ],
     ids=["trace", "invariants", "noise", "perturb", "reference"],
 )

@@ -12,7 +12,6 @@ from repro.smpi.mailbox import ANY_SOURCE, Mailbox, RecvPost, SendArrival
 from repro.spechpc.suite import get_benchmark
 from repro.validate.differential import (
     REFERENCE_MODE,
-    bandwidth_scheduler_differential,
     differential_run,
     flag_matrix,
 )
@@ -165,19 +164,20 @@ def test_sanitize_rejects_bad_args():
 
 def test_flag_matrix_shape():
     modes = flag_matrix()
-    assert len(modes) == 24
-    assert len(set(modes)) == 24
+    assert len(modes) == 6
+    assert len(set(modes)) == 6
     assert modes[0] == REFERENCE_MODE
     labels = {m.label for m in modes}
-    assert "heap+linear+nomemo+noff" in labels
-    assert "fastpath+indexed+memo+ff" in labels
-    assert "fastpath+indexed+memo+wf" in labels
+    assert labels == {
+        f"{m}+{t}" for m in ("linear", "indexed") for t in ("noff", "ff", "wf")
+    }
+    assert sum(not m.fast_forward for m in modes) == 2  # the traced modes
 
 
 def test_differential_run_conformant():
     rep = differential_run("soma", "A", 8, workers=False)
     assert rep.ok
-    assert rep.modes == 24
+    assert rep.modes == 6
     assert "conformant" in rep.summary()
 
 
@@ -186,11 +186,7 @@ def test_differential_run_workers_axis():
         "lbm", "A", 4, trace_diff=False, workers=True
     )
     assert rep.ok
-    assert rep.modes == 25  # 24 engine modes + the workers=2 sweep
-
-
-def test_bandwidth_scheduler_differential_clean():
-    assert bandwidth_scheduler_differential(flows=48, seed=2) == []
+    assert rep.modes == 7  # 6 engine modes + the workers=2 sweep
 
 
 # --- invariants --------------------------------------------------------------

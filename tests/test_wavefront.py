@@ -198,7 +198,7 @@ def test_minisweep_configs_fingerprint_identical(nprocs, blocks, recv_first):
     on = run(_minisweep(blocks, recv_first), CLUSTER_A, nprocs, sim_steps=6)
     off = run(
         _minisweep(blocks, recv_first), CLUSTER_A, nprocs, sim_steps=6,
-        fast_forward=False, wavefront=False, matcher="linear", memoize=False,
+        fast_forward=False, wavefront=False, matcher="linear",
     )
     assert on.meta["wavefront"] is True
     assert off.meta["wavefront"] is False
@@ -217,11 +217,11 @@ def test_minisweep_configs_fingerprint_identical(nprocs, blocks, recv_first):
         (dict(faults=FaultPlan(slow_ranks=(SlowRank(rank=1, factor=2.0),))),
          "faults"),
         (dict(trace=True), "tracing"),
-        (dict(memoize=False), "nomemo"),
+        (dict(perturb_seed=0), "perturb"),
         (dict(sim_steps=4), "steps"),
         (dict(fast_forward=False, wavefront=False), "disabled"),
     ],
-    ids=["noise", "faults", "tracing", "no-memoize", "short", "disabled"],
+    ids=["noise", "faults", "tracing", "perturb", "short", "disabled"],
 )
 def test_wavefront_declines(kwargs, code):
     """Perturbing or observing individual steps forces full fidelity;
