@@ -382,6 +382,16 @@ class Simulator:
     def _finished(self, proc: SimProcess) -> None:
         del self._live[proc]
 
+    def abandon(self) -> None:
+        """Discard a run stopped by an exception: close every unfinished
+        process and drop every pending event, so the stopped world is
+        freed by reference counting instead of waiting for the cyclic
+        collector."""
+        for proc in list(self._live):
+            proc.kill()
+        self._heap.clear()
+        self._runq.clear()
+
     # --- main loop -----------------------------------------------------------
 
     def run(

@@ -21,8 +21,9 @@ from repro.spechpc.base import Benchmark, RunContext
 class _EngineTally:
     """Process-wide count of DES engine executions.
 
-    Each :func:`run` call is exactly one simulator lifecycle, so this
-    counter is the ground truth for "how many times did the event
+    Each :func:`run` call is one simulator lifecycle — two when a replay
+    tier declines after parking and the job re-runs in full DES — so
+    this counter is the ground truth for "how many times did the event
     engine actually execute" — the serving layer's single-flight and
     cache guarantees are asserted against it (a cache or coalesced hit
     must not move it).  Thread-safe: the server runs the DES from a
@@ -102,7 +103,7 @@ def run(
         amortized) or ``"linear"`` (the original O(pending) scan kept as
         the reference).  Bit-identical results either way.
     fast_forward:
-        Allow the steady-state fast-forward (see
+        Allow the synchronized replay tier (see
         :mod:`repro.spechpc.fastforward`): once a benchmark's step
         structure is observed to be exactly periodic, remaining steps are
         advanced analytically with bit-identical statistics.  Runs with
@@ -113,10 +114,15 @@ def run(
         are *not* globally synchronized — KBA sweeps, skewed halo
         pipelines — are compiled into a dependency DAG and advanced with
         vectorized level-set replay, bit-identical to full simulation.
-        Shares the fast-forward's eligibility gating;
+        One :class:`~repro.spechpc.fastforward.ReplayController` drives
+        both tiers under the same gating;
         ``fast_forward=False, wavefront=True`` forces the wavefront tier
         even for structures the synchronized tier could handle (the
-        validation configuration).
+        validation configuration).  If a check fails after the ranks
+        parked at the tier decision, the job re-runs with both tiers
+        off: the result is the full-DES one, ``meta["metrics"]
+        ["wavefront"]`` records ``declined.validation``, and
+        :func:`engine_run_count` counts both executions.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` to inject (slow ranks,
         OS-noise bursts, degraded links, rank crashes).  ``None`` or an
@@ -179,15 +185,6 @@ def run(
         rng = np.random.default_rng(seed)
         noise = 1.0 + noise_sigma * np.abs(rng.standard_normal(nprocs))
 
-    ctx = RunContext(
-        cluster=cluster,
-        nprocs=nprocs,
-        workload=workload,
-        exec_model=ExecutionModel(cluster.node.cpu),
-        sim_steps=steps,
-        noise=noise,
-        threads=threads_per_rank,
-    )
     # trace=True keeps every interval; trace="streaming" keeps bounded
     # per-rank aggregates only (paper-scale tracing)
     collector = None
@@ -209,7 +206,8 @@ def run(
     # faults, tracing, invariants, perturbation — or no step is left
     from repro.spechpc.fastforward import (
         PAPER_SCALE_RANKS,
-        FastForwardController,
+        ReplayController,
+        _ParkDeclined,
         replay_ineligibility,
     )
 
@@ -221,42 +219,67 @@ def run(
         perturb_seed=perturb_seed,
         sim_steps=steps,
     )
-    tier_active = tier_declined is None and (fast_forward or wavefront)
-    # light-machinery hint: a structurally ineligible small run skips the
-    # matching-stamp bookkeeping nothing will consume
-    light = (
-        not tier_active and nprocs < PAPER_SCALE_RANKS and perturb_seed is None
-    )
-    runtime = MpiRuntime(
-        cluster,
-        nprocs,
-        trace=collector,
-        threads_per_rank=threads_per_rank,
-        faults=injector,
-        matcher=matcher,
-        perturb_seed=perturb_seed,
-        checker=checker,
-        light=light,
-    )
-    ctx.runtime = runtime
-    if tier_active:
-        if wavefront:
-            from repro.spechpc.wavefront import WavefrontController
+    if tier_declined is None and not (fast_forward or wavefront):
+        tier_declined = ("disabled", "both replay tiers switched off")
 
-            ctl = WavefrontController(
-                runtime, steps, ctx.exec_model, allow_sync=fast_forward
+    def launch(tiers: bool):
+        """Build a fresh world and run the job in it."""
+        ctx = RunContext(
+            cluster=cluster,
+            nprocs=nprocs,
+            workload=workload,
+            exec_model=ExecutionModel(cluster.node.cpu),
+            sim_steps=steps,
+            noise=noise,
+            threads=threads_per_rank,
+        )
+        # light-machinery hint: a small run without a replay tier skips
+        # the matching-stamp bookkeeping nothing will consume
+        light = not tiers and nprocs < PAPER_SCALE_RANKS and perturb_seed is None
+        runtime = MpiRuntime(
+            cluster,
+            nprocs,
+            trace=collector,
+            threads_per_rank=threads_per_rank,
+            faults=injector,
+            matcher=matcher,
+            perturb_seed=perturb_seed,
+            checker=checker,
+            light=light,
+        )
+        ctx.runtime = runtime
+        if tiers:
+            ctx.fast_forward = ReplayController(
+                runtime, steps, fast_forward=fast_forward, wavefront=wavefront
             )
-        else:
-            ctl = FastForwardController(runtime, steps, ctx.exec_model)
-        ctx.fast_forward = ctl
+        _engine_tally.bump()
+        try:
+            job = runtime.launch(
+                benchmark.make_body(ctx), max_events=max_events,
+                deadline=sim_time_limit,
+            )
+        except _ParkDeclined:
+            runtime.sim.abandon()
+            raise
+        return ctx, runtime, job
+
+    job = None
+    if tier_declined is None:
+        try:
+            ctx, runtime, job = launch(tiers=True)
+        except _ParkDeclined as stop:
+            # a check failed after the ranks parked: drop the traceback
+            # that pins the stopped world, and re-run in full DES
+            stop.__traceback__ = None
+            tier_declined = ("validation", str(stop))
+    if job is None:
+        ctx, runtime, job = launch(tiers=False)
+    ctl = ctx.fast_forward
+    if ctl is not None:
         tier_metrics = ctl.metrics
     else:
-        code = tier_declined[0] if tier_declined is not None else "disabled"
+        code = tier_declined[0]
         tier_metrics = lambda code=code: {f"declined.{code}": 1.0}
-    _engine_tally.bump()
-    job = runtime.launch(
-        benchmark.make_body(ctx), max_events=max_events, deadline=sim_time_limit
-    )
 
     if not job.stats:
         raise RuntimeError(
@@ -286,15 +309,8 @@ def run(
         "sim_steps": steps,
         "seed": seed,
         "noise_sigma": noise_sigma,
-        "fast_forward": (
-            ctx.fast_forward is not None
-            and getattr(ctx.fast_forward, "engaged", False)
-        ),
-        "wavefront": (
-            ctx.fast_forward is not None
-            and getattr(ctx.fast_forward, "mode", None) == "wavefront"
-            and ctx.fast_forward.engaged
-        ),
+        "fast_forward": ctl is not None and ctl.engaged,
+        "wavefront": ctl is not None and ctl.engaged and ctl.mode == "wavefront",
         "metrics": run_metrics(runtime, tier_metrics),
     }
     if perturb_seed is not None:

@@ -305,15 +305,11 @@ class MemoizedExecutionModel:
     Everything except ``phase_cost`` delegates to the wrapped model.
     """
 
-    __slots__ = ("_base", "_cache", "generation")
+    __slots__ = ("_base", "_cache")
 
     def __init__(self, base) -> None:
         self._base = base
         self._cache: dict = {}
-        #: bumped on every cache miss — a stable generation across a
-        #: window of steps proves the priced cost vector is periodic
-        #: (the steady-state fast-forward eligibility check)
-        self.generation = 0
 
     def phase_cost(
         self,
@@ -327,7 +323,6 @@ class MemoizedExecutionModel:
         if cost is None:
             cost = self._base.phase_cost(kernel, units, ranks_in_domain, penalty)
             self._cache[key] = cost
-            self.generation += 1
         return cost
 
     @property

@@ -147,8 +147,8 @@ class RunContext:
     noise: np.ndarray | None = None   # per-rank compute slowdown factors
     runtime: MpiRuntime | None = None
     threads: int = 1
-    #: optional steady-state fast-forward controller (set by the harness
-    #: for eligible runs; see :mod:`repro.spechpc.fastforward`)
+    #: optional replay controller (set by the harness for eligible runs;
+    #: see :class:`~repro.spechpc.fastforward.ReplayController`)
     fast_forward: object | None = field(default=None, repr=False)
     _stretch_cache: dict = field(default_factory=dict, repr=False)
 
@@ -214,7 +214,7 @@ class RunContext:
             while (yield loop.next_step()):
                 ... one time step ...
 
-        Without a fast-forward controller this counts steps exactly like
+        Without a replay controller this counts steps exactly like
         ``for _ in range(ctx.sim_steps)``; with one it additionally runs
         the steady-state detection protocol at the step boundaries.
         """

@@ -25,28 +25,41 @@ accumulator arithmetic without generators, signals, or heap events.
 
 Protocol (driven by :class:`StepLoop` at step boundaries)
 ---------------------------------------------------------
+One :class:`ReplayController` runs it for both replay tiers: the
+synchronized tier here (every step ends in a full-communicator
+collective, so all ranks cross each boundary at one instant) and the
+wavefront tier of :mod:`repro.spechpc.wavefront` (skewed boundaries).
+
 * boundary 1: attach a :class:`StepRecorder`; steps 1 and 2 are journaled
   as per-rank op lists (constants only — no absolute times).
-* boundary 3: detach; the last rank checks *eligibility*: both journals
-  bitwise equal on every rank, every journal ends with a full-communicator
-  collective (so step boundaries are globally synchronized), boundary
-  timestamps identical across ranks, no unsupported ops (wildcards,
-  payload-carrying sends, data reductions), memoized phase pricing stable
-  (no cache misses while recording), and at least one step remains.
-* boundary 4: ranks park on a decision signal.  The last arrival verifies
-  the quiescent state (all ranks at the same instant, mailboxes empty, no
-  pending events), **validates** the replayer against reality — replaying
-  one step from boundary 3 must land every rank exactly on the observed
-  boundary-4 clock — and then replays all remaining steps in pure Python,
-  applying per-rank statistics directly.  Ranks wake, jump to their final
-  clocks, and their bodies finish.  Any check failing releases the ranks
-  untouched ("go") and disables fast-forward for the run.
+* boundary 3 (DECIDE): detach; the last rank checks *eligibility* — no
+  unsupported ops (wildcards, payload-carrying sends, data reductions)
+  and both journals bitwise equal on every rank — then arms a tier: the
+  synchronized one when its boundaries are synchronized, else a
+  compiled :class:`~repro.spechpc.wavefront.WavefrontProgram`.  A
+  decline here costs nothing: no rank has waited, and the run simply
+  continues in full DES.
+* boundary 4 (PARK): ranks park on the decision signal.  The last
+  arrival verifies quiescence (mailboxes empty, no pending events) and
+  **validates** the step the engine just simulated: replayed from the
+  DECIDE clocks on the scalar :class:`Replayer` and on the compiled
+  program (for the synchronized tier a :class:`VectorReplayer`, when
+  the journals are column-uniform), it must land every rank exactly on
+  its observed PARK clock.
+  Then it replays all remaining steps, applying per-rank statistics
+  directly, and fires the signal with every rank's final clock; ranks
+  land on it and their bodies finish.
+
+A check failing at PARK has one exit: the last rank raises a private
+exception that stops the DES world with no further step simulated, and
+:func:`~repro.harness.runner.run` re-executes the job with both tiers
+off (recording ``declined.validation``), so a decline yields the
+full-DES answer by construction.
 
 Fidelity is forced (the controller is never created) for runs with
-noise, fault injection, tracing, or ``fast_forward=False`` — those
-simulate every step as before.  The shared gating lives in
-:func:`replay_ineligibility` so the runner and the wavefront tier
-(:mod:`repro.spechpc.wavefront`) apply exactly the same rules.
+noise, fault injection, tracing, invariant checking, schedule
+perturbation, fewer than five steps, or both tiers off.  The shared
+gating lives in :func:`replay_ineligibility`.
 """
 
 from __future__ import annotations
@@ -103,7 +116,7 @@ def replay_ineligibility(
         return ("invariants", "invariant checking observes every event")
     if perturb_seed is not None:
         return ("perturb", "schedule perturbation forbids fixed tie-breaks")
-    if sim_steps < FastForwardController.PARK + 1:
+    if sim_steps < ReplayController.PARK + 1:
         return ("steps", "no steps left after the recording prologue")
     return None
 
@@ -623,10 +636,18 @@ class VectorReplayer:
 
     # --- execution ----------------------------------------------------------
 
-    def run(self, t_start: float, nsteps: int,
-            stats: Optional[list] = None) -> list[float]:
+    def run(
+        self,
+        t_start: Union[float, Sequence[float]],
+        nsteps: int,
+        stats: Optional[list] = None,
+    ) -> list[float]:
+        """Replay ``nsteps`` steps from one synchronized or per-rank
+        start clock(s); with ``stats`` also lands every statistics
+        update exactly as the scalar replayer would."""
         n = self.nprocs
-        t = np.full(n, t_start, dtype=np.float64)
+        t = np.empty(n, dtype=np.float64)
+        t[:] = t_start
         tacc = cacc = touched = None
         if stats is not None:
             kinds = {"compute"}
@@ -750,12 +771,22 @@ class _NotUniform(Exception):
 # controller + step loop
 # --------------------------------------------------------------------------
 
-class FastForwardController:
+class _ParkDeclined(Exception):
+    """A check failed after every rank parked.  Raised by the last rank
+    at the PARK boundary, it stops the DES world with no further step
+    simulated; :meth:`~repro.smpi.runtime.MpiRuntime.launch` lets it
+    through and :func:`~repro.harness.runner.run` re-executes the job
+    with both replay tiers off."""
+
+
+class ReplayController:
     """Per-run coordinator of the recording/decision/replay protocol.
 
-    Created by the harness only for eligible runs (no noise, no faults,
-    no tracing, memoization on, ``fast_forward=True``).  One instance
-    serves all ranks of the run.
+    Created by the harness only for runs :func:`replay_ineligibility`
+    lets through with at least one tier on; one instance serves all
+    ranks.  ``fast_forward`` allows the synchronized tier, ``wavefront``
+    the wavefront tier (:mod:`repro.spechpc.wavefront`); when both are
+    on, the synchronized tier is tried first.
     """
 
     #: boundary indices of the protocol (see module docstring)
@@ -764,28 +795,28 @@ class FastForwardController:
     PARK = 4
 
     def __init__(self, runtime: "MpiRuntime", sim_steps: int,
-                 exec_model=None) -> None:
+                 fast_forward: bool = True, wavefront: bool = True) -> None:
         self.runtime = runtime
         self.sim_steps = sim_steps
-        self.exec_model = exec_model
         self.nprocs = runtime.nprocs
+        self.fast_forward = fast_forward
+        self.wavefront = wavefront
         self.recorder: Optional[StepRecorder] = None
-        self.dead = sim_steps < self.PARK + 1  # nothing left to skip
-        self.engaged = False
-        self._journals: dict[int, list[list]] = {}   # step -> per-rank ops
-        #: boundary index -> per-rank clock (rank-indexed; None = not there
-        #: yet) — rank-indexed so skewed wavefront boundaries keep their
-        #: per-rank identity instead of arrival order
-        self._boundary_now: dict[int, list[Optional[float]]] = {}
+        self._journals: dict[int, list] = {}   # step -> per-rank ops
+        #: boundary index -> per-rank clock, rank-indexed so skewed
+        #: wavefront boundaries keep their per-rank identity
+        self._boundary_now: dict[int, list] = {}
         self._arrived: dict[int, int] = {}
-        self._park_signal = Signal("fast-forward-decision")
-        self._park = False
-        self._gen0: Optional[int] = None
-        self.abort_reason: Optional[str] = None
-        self.abort_code: Optional[str] = None
-        #: replay depth and analytically-skipped op count, set on engage
-        #: (exposed via :meth:`metrics` for the wavefront observability
-        #: counters; the sync tier reports its column count as depth)
+        self._park_signal = Signal("replay-decision")
+        #: "sync" | "wavefront" once the DECIDE boundary armed a tier
+        self.mode: Optional[str] = None
+        #: the wavefront tier's compiled program, armed at DECIDE
+        self.program = None
+        #: ``(code, reason)`` while no tier has committed
+        self.declined = ("undecided", "the run ended before the tier decision")
+        self.engaged = False
+        #: replay depth and analytically-skipped op count, set on commit
+        #: (the sync tier reports its column count as depth)
         self.levels = 0
         self.events_saved = 0
 
@@ -793,35 +824,32 @@ class FastForwardController:
 
     def boundary(self, comm: "Communicator", idx: int) -> Optional[Signal]:
         """Called by every rank right before it starts step ``idx``.
-        Returns a signal to park on at the decision boundary, else None."""
-        if self.dead:
-            return None
+        Returns the signal to park on at an armed PARK boundary, else
+        None."""
         rt = self.runtime
         rank = comm.rank
         if idx == self.RECORD_FIRST:
             if self.recorder is None:
-                self.recorder = StepRecorder(self.nprocs)
-                rt.recorder = self.recorder
-                self._gen0 = getattr(self.exec_model, "generation", None)
+                self.recorder = rt.recorder = StepRecorder(self.nprocs)
             self.recorder.begin_step(rank)
         elif idx == self.RECORD_FIRST + 1:
-            self._journals.setdefault(idx - 1, [None] * self.nprocs)[rank] = (
-                self.recorder.end_step(rank)
-            )
+            self._end_journal(idx - 1, rank)
             self.recorder.begin_step(rank)
             self._note_boundary(idx, rank, rt.sim.now)
         elif idx == self.DECIDE:
-            self._journals.setdefault(idx - 1, [None] * self.nprocs)[rank] = (
-                self.recorder.end_step(rank)
-            )
+            self._end_journal(idx - 1, rank)
             if self._note_boundary(idx, rank, rt.sim.now):
                 rt.recorder = None
                 self._decide()
-        elif idx == self.PARK and self._park:
+        elif idx == self.PARK and self.mode is not None:
             if self._note_boundary(idx, rank, rt.sim.now):
-                self._execute(rt.sim.now)
+                self._park_signal.fire(self._execute())
             return self._park_signal
         return None
+
+    def _end_journal(self, step: int, rank: int) -> None:
+        journals = self._journals.setdefault(step, [None] * self.nprocs)
+        journals[rank] = self.recorder.end_step(rank)
 
     def _note_boundary(self, idx: int, rank: int, now: float) -> bool:
         """Record a rank's boundary timestamp; True for the last arrival."""
@@ -833,29 +861,16 @@ class FastForwardController:
         self._arrived[idx] = n
         return n == self.nprocs
 
-    def _abort(self, reason: str, code: str = "aborted") -> None:
-        self.abort_reason = reason
-        self.abort_code = code
-        self.dead = True
-
     # --- decision ----------------------------------------------------------
 
     def _common_decline_reason(self) -> Optional[tuple[str, str]]:
-        """Checks every replay tier shares: supported ops, steps left,
-        stable pricing, complete and periodic journals.  Returns a
-        ``(code, reason)`` pair or ``None``."""
+        """Checks every replay tier shares: supported ops and periodic
+        journals.  Returns a ``(code, reason)`` pair or ``None``."""
         rec = self.recorder
         if rec.unsupported is not None:
             return ("unsupported-op", f"unsupported op: {rec.unsupported}")
-        if self.sim_steps < self.PARK + 1:
-            return ("steps", "no steps left to fast-forward")
-        gen = getattr(self.exec_model, "generation", None)
-        if self._gen0 is None or gen != self._gen0:
-            return ("pricing-unstable", "phase pricing not stable while recording")
-        j1 = self._journals.get(self.RECORD_FIRST)
-        j2 = self._journals.get(self.RECORD_FIRST + 1)
-        if j1 is None or j2 is None or any(x is None for x in j1 + j2):
-            return ("incomplete-journals", "incomplete journals")
+        j1 = self._journals[self.RECORD_FIRST]
+        j2 = self._journals[self.RECORD_FIRST + 1]
         for r in range(self.nprocs):
             if j1[r] != j2[r]:
                 return ("not-periodic", f"rank {r} step structure not periodic")
@@ -874,22 +889,94 @@ class FastForwardController:
                     "(boundaries not globally synchronized)",
                 )
         for idx in (self.RECORD_FIRST + 1, self.DECIDE):
-            nows = self._boundary_now.get(idx)
-            if (
-                nows is None
-                or any(t is None for t in nows)
-                or any(t != nows[0] for t in nows)
-            ):
+            nows = self._boundary_now[idx]
+            if any(t != nows[0] for t in nows):
                 return ("boundaries-skewed", "step boundaries not synchronized")
         return None
 
     def _decide(self) -> None:
-        """Last rank at the DECIDE boundary: check eligibility and arm the
-        parking boundary (nothing blocks here — ranks already proceeded)."""
-        declined = self._common_decline_reason() or self._sync_decline_reason()
+        """Last rank at the DECIDE boundary: arm a tier for the PARK
+        boundary, or record why none applies (nothing blocks here —
+        the ranks have already moved on)."""
+        declined = self._common_decline_reason()
         if declined is not None:
-            return self._abort(declined[1], declined[0])
-        self._park = True
+            self.declined = declined
+            return
+        why = "synchronized tier disabled"
+        if self.fast_forward:
+            declined = self._sync_decline_reason()
+            if declined is None:
+                self.mode = "sync"
+                return
+            if not self.wavefront:
+                self.declined = declined
+                return
+            why = declined[1]
+        from repro.spechpc.wavefront import WavefrontProgram  # import cycle
+
+        journals = self._journals[self.RECORD_FIRST + 1]
+        try:
+            self.program = WavefrontProgram.compile(journals, self.nprocs)
+        except ReplayUnsupported as exc:
+            self.declined = ("structure", f"{why}; {exc}")
+            return
+        self.mode = "wavefront"
+
+    # --- engagement ---------------------------------------------------------
+
+    def _execute(self) -> list[float]:
+        """Last rank at the PARK boundary: check quiescence, validate the
+        DECIDE -> PARK step, and commit the remaining steps; returns
+        every rank's final clock.  Any failed check stops the world
+        instead (:class:`_ParkDeclined`)."""
+        rt = self.runtime
+        journals = self._journals[self.RECORD_FIRST + 1]
+        t_decide = self._boundary_now[self.DECIDE]
+        t_park = self._boundary_now[self.PARK]
+        prog = self.program
+        remaining = self.sim_steps - self.PARK
+        try:
+            if not all(m.idle() for m in rt.mailboxes):
+                raise ReplayUnsupported("in-flight messages at the boundary")
+            if rt.sim._heap or rt.sim._runq:
+                raise ReplayUnsupported("pending events at the boundary")
+            # validation: replaying the step the engine just simulated
+            # must land every rank bitwise on its observed PARK clock,
+            # on the scalar replayer and on the compiled program alike
+            if Replayer(journals, self.nprocs).run(t_decide, 1) != t_park:
+                raise ReplayUnsupported(
+                    "validation failed: scalar replay does not reproduce "
+                    "the simulated boundary clocks"
+                )
+            if prog is None:
+                # the sync tier compiles only here, where neither the DES
+                # step nor the scalar check holds memory (peak RSS):
+                # column-uniform structures replay vectorized across
+                # ranks, anything else on the scalar replayer
+                prog = VectorReplayer.compile(journals, self.nprocs)
+            if prog is not None and prog.run(t_decide, 1) != t_park:
+                raise ReplayUnsupported(
+                    f"validation failed: compiled {self.mode} replay does "
+                    "not reproduce the simulated boundary clocks"
+                )
+            if prog is None:
+                finals = Replayer(journals, self.nprocs, stats=rt.stats).run(
+                    t_park, remaining
+                )
+            else:
+                finals = prog.run(t_park, remaining, stats=rt.stats)
+        except ReplayUnsupported as exc:
+            reason = str(exc)
+        else:
+            self.engaged = True
+            self.levels = (
+                prog.nlevels if self.mode == "wavefront"
+                else max(len(j) for j in journals)
+            )
+            self.events_saved = remaining * sum(len(j) for j in journals)
+            return finals
+        # raised outside the handler, so the error chains no context
+        raise _ParkDeclined(reason)
 
     # --- observability -------------------------------------------------------
 
@@ -902,55 +989,7 @@ class FastForwardController:
                 "levels": float(self.levels),
                 "events_saved": float(self.events_saved),
             }
-        code = self.abort_code if self.abort_code is not None else "undecided"
-        return {f"declined.{code}": 1.0}
-
-    # --- engagement ---------------------------------------------------------
-
-    def _execute(self, now: float) -> None:
-        """Last rank at the PARK boundary: verify, validate, replay, fire."""
-        rt = self.runtime
-        nows = self._boundary_now[self.PARK]
-        try:
-            if any(t != now for t in nows):
-                raise ReplayUnsupported("ranks parked at different times")
-            if not all(m.idle() for m in rt.mailboxes):
-                raise ReplayUnsupported("in-flight messages at the boundary")
-            if rt.sim._heap or rt.sim._runq:
-                raise ReplayUnsupported("pending events at the boundary")
-            journals = self._journals[self.RECORD_FIRST + 1]
-            # validation: replay the step the engine just simulated
-            # (DECIDE -> PARK) and demand bitwise-identical clocks
-            t_decide = self._boundary_now[self.DECIDE][0]
-            predicted = Replayer(journals, self.nprocs).run(t_decide, 1)
-            if any(t != now for t in predicted):
-                raise ReplayUnsupported(
-                    "validation failed: replayed step does not reproduce "
-                    "the simulated boundary clock"
-                )
-            remaining = self.sim_steps - self.PARK
-            # column-uniform structures replay vectorized across ranks;
-            # the compiled program must itself reproduce the validation
-            # step bitwise before it is trusted with the commit
-            vec = VectorReplayer.compile(journals, self.nprocs)
-            if vec is not None and any(
-                t != now for t in vec.run(t_decide, 1)
-            ):
-                vec = None
-            if vec is not None:
-                finals = vec.run(now, remaining, stats=rt.stats)
-            else:
-                finals = Replayer(journals, self.nprocs, stats=rt.stats).run(
-                    now, remaining
-                )
-        except ReplayUnsupported as exc:
-            self._abort(str(exc), "validation")
-            self._park_signal.fire(("go", None))
-            return
-        self.engaged = True
-        self.levels = max(len(j) for j in journals)
-        self.events_saved = remaining * sum(len(j) for j in journals)
-        self._park_signal.fire(("ff", finals))
+        return {f"declined.{self.declined[0]}": 1.0}
 
 
 class StepLoop:
@@ -966,38 +1005,33 @@ class StepLoop:
     the loop is bit-identical to ``for _ in range(ctx.sim_steps)``.
     """
 
-    __slots__ = ("_comm", "_ctl", "_total", "_idx", "_done")
+    __slots__ = ("_comm", "_ctl", "_total", "_idx")
 
     def __init__(self, comm: "Communicator", total: int,
-                 ctl: Optional[FastForwardController]) -> None:
+                 ctl: Optional[ReplayController]) -> None:
         self._comm = comm
         self._ctl = ctl
         self._total = total
         self._idx = 0
-        self._done = False
 
     def next_step(self) -> Generator[Any, Any, bool]:
-        if self._done or self._idx >= self._total:
+        if self._idx >= self._total:
             return False
         ctl = self._ctl
-        if ctl is not None and not ctl.dead:
+        if ctl is not None and self._idx <= ctl.PARK:
             sig = ctl.boundary(self._comm, self._idx)
             if sig is not None:
-                value = yield Wait(sig)
-                kind, data = value
-                if kind == "ff":
-                    t_final = data[self._comm.rank]
-                    now = self._comm.now
-                    if t_final > now:
-                        # land on the replayed clock *exactly*: a
-                        # Delay(t_final - now) would re-round the
-                        # subtraction; call_at schedules at t_final itself
-                        wake = Signal("fast-forward-wake")
-                        self._comm.runtime.sim.call_at(
-                            t_final, lambda: wake.fire(None)
-                        )
-                        yield Wait(wake)
-                    self._done = True
-                    return False
+                t_final = (yield Wait(sig))[self._comm.rank]
+                if t_final > self._comm.now:
+                    # land on the replayed clock *exactly*: a
+                    # Delay(t_final - now) would re-round the
+                    # subtraction; call_at schedules at t_final itself
+                    wake = Signal("replay-wake")
+                    self._comm.runtime.sim.call_at(
+                        t_final, lambda: wake.fire(None)
+                    )
+                    yield Wait(wake)
+                self._idx = self._total
+                return False
         self._idx += 1
         return True

@@ -7,13 +7,15 @@ full-communicator collective and all ranks cross each boundary at one
 instant.  The paper's wavefront codes violate both: minisweep's KBA sweep
 has **no collective at all** (Table 1) and its rendezvous serialization
 ripple (Sect. 4.1.5) keeps the pipeline *skewed* — rank clocks at a step
-boundary differ by design.  This module adds a second replay tier for
-exactly that shape.
+boundary differ by design.  This module holds the second replay tier,
+for exactly that shape: the compiled program the
+:class:`~repro.spechpc.fastforward.ReplayController` arms at the DECIDE
+boundary when the synchronized tier declines (or is switched off).
 
 How it works
 ------------
-The journaling protocol is unchanged (two recorded steps, periodicity
-check, validation step).  What differs is the decision and the replay:
+The journaling protocol is the controller's (two recorded steps,
+periodicity check, validation step).  What differs is the replay:
 
 * **DAG compilation** — the per-rank op journals are compiled *once* into
   a dependency DAG over their send/receive *post nodes*: each op depends
@@ -45,7 +47,8 @@ precomputation, which would re-associate the adds and drift by ulps.
 Before committing, the compiled program must reproduce the engine's own
 observed validation step (DECIDE -> PARK boundary clocks) bitwise, and
 the scalar :class:`~repro.spechpc.fastforward.Replayer` is cross-checked
-on the same step.
+on the same step.  A failure there stops the parked world and the
+harness re-runs the job in full DES, so a decline is exact too.
 """
 
 from __future__ import annotations
@@ -54,12 +57,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.spechpc.fastforward import (
-    _COMPUTE_COUNTERS,
-    FastForwardController,
-    Replayer,
-    ReplayUnsupported,
-)
+from repro.spechpc.fastforward import _COMPUTE_COUNTERS, ReplayUnsupported
 
 
 class WavefrontProgram:
@@ -513,91 +511,3 @@ class WavefrontProgram:
                 for nm, arr in cacc.items():
                     c[nm] = float(arr[i])
         return [float(x) for x in t]
-
-
-class WavefrontController(FastForwardController):
-    """Fast-forward controller with a wavefront (level-set DAG) tier.
-
-    Runs the same boundary protocol as the base controller.  At the
-    DECIDE boundary it first tries the synchronized tier (when
-    ``allow_sync``); if that declines for a *structural* reason — no
-    collective boundary, skewed clocks — it compiles the journals into a
-    :class:`WavefrontProgram` instead.  At the PARK boundary the program
-    must reproduce the engine's observed DECIDE -> PARK step bitwise from
-    the per-rank boundary clocks (and the scalar replayer is
-    cross-checked on the same step) before the remaining steps are
-    replayed and landed via ``call_at``.
-
-    ``allow_sync=False`` (the runner's ``fast_forward=False,
-    wavefront=True`` combination) forces the wavefront tier even for
-    benchmarks the synchronized tier could handle — the validation
-    configuration proving the DAG replay alone is exact.
-    """
-
-    def __init__(
-        self, runtime, sim_steps: int, exec_model=None, allow_sync: bool = True
-    ) -> None:
-        super().__init__(runtime, sim_steps, exec_model)
-        self.allow_sync = allow_sync
-        #: "sync" | "wavefront" once decided
-        self.mode: Optional[str] = None
-        self.program: Optional[WavefrontProgram] = None
-
-    def _decide(self) -> None:
-        declined = self._common_decline_reason()
-        if declined is not None:
-            return self._abort(declined[1], declined[0])
-        if self.allow_sync:
-            sync_declined = self._sync_decline_reason()
-            if sync_declined is None:
-                self.mode = "sync"
-                self._park = True
-                return
-        else:
-            sync_declined = ("sync-disabled", "synchronized tier disabled")
-        journals = self._journals[self.RECORD_FIRST + 1]
-        try:
-            self.program = WavefrontProgram.compile(journals, self.nprocs)
-        except ReplayUnsupported as exc:
-            return self._abort(f"{sync_declined[1]}; {exc}", "structure")
-        self.mode = "wavefront"
-        self._park = True
-
-    def _execute(self, now: float) -> None:
-        if self.mode != "wavefront":
-            return super()._execute(now)
-        rt = self.runtime
-        prog = self.program
-        t_decide = self._boundary_now[self.DECIDE]
-        t_park = self._boundary_now[self.PARK]
-        try:
-            if any(x is None for x in t_decide) or any(x is None for x in t_park):
-                raise ReplayUnsupported("incomplete boundary clocks")
-            if not all(m.idle() for m in rt.mailboxes):
-                raise ReplayUnsupported("in-flight messages at the boundary")
-            if rt.sim._heap or rt.sim._runq:
-                raise ReplayUnsupported("pending events at the boundary")
-            # validation: the level-set program must land every rank
-            # exactly on the engine's observed PARK clock from its DECIDE
-            # clock, and the scalar replayer must agree on the same step
-            if prog.run(t_decide, 1) != t_park:
-                raise ReplayUnsupported(
-                    "validation failed: level-set replay does not reproduce "
-                    "the simulated boundary clocks"
-                )
-            journals = self._journals[self.RECORD_FIRST + 1]
-            if Replayer(journals, self.nprocs).run(t_decide, 1) != t_park:
-                raise ReplayUnsupported(
-                    "validation failed: scalar replay disagrees with the "
-                    "level-set program"
-                )
-            remaining = self.sim_steps - self.PARK
-            finals = prog.run(t_park, remaining, stats=rt.stats)
-        except ReplayUnsupported as exc:
-            self._abort(str(exc), "validation")
-            self._park_signal.fire(("go", None))
-            return
-        self.engaged = True
-        self.levels = prog.nlevels
-        self.events_saved = remaining * prog.total_ops
-        self._park_signal.fire(("ff", finals))

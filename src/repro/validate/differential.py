@@ -140,12 +140,17 @@ def differential_run(
     cluster: Union[str, ClusterSpec],
     nprocs: int,
     suite: str = "tiny",
-    sim_steps: Optional[int] = None,
+    sim_steps: Optional[int] = 8,
     trace_diff: bool = True,
     workers: bool = True,
 ) -> DifferentialReport:
     """Run one job through the full flag matrix and diff everything
     against the all-reference mode.
+
+    ``sim_steps`` defaults to 8, past the replay tiers' 5-step minimum,
+    so the tier axis compares a replay with the full DES; a benchmark's
+    own default (2–4 steps) would decline every tier up front and
+    compare the full DES with itself.
 
     ``trace_diff`` additionally replays the two fast-forward-off modes
     with full traces and compares complete timelines (tracing forces the

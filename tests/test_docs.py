@@ -2,6 +2,7 @@
 resolve, every example script is smoke-tested, and the docs tree the
 README promises actually exists."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -131,3 +132,43 @@ def test_classification_thresholds_documented():
     floor_us = recv_wait_floor(net) * 1e6
     assert f"{floor_us:.1f}" in doc  # "4.1 µs" appears in the rules
     assert re.search(r"eager_threshold.*64\s*KiB", doc)
+
+
+def _emitted_decline_codes():
+    """Slugs of every ``(code, reason)`` pair the tier gating returns or
+    stores as a decline (``wavefront.declined.<code>`` metrics)."""
+    codes = set()
+    for rel in ("src/repro/spechpc/fastforward.py", "src/repro/harness/runner.py"):
+        tree = ast.parse(open(os.path.join(ROOT, rel)).read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Return):
+                value = node.value
+            elif isinstance(node, ast.Assign) and any(
+                "declined" in ast.unparse(t) for t in node.targets
+            ):
+                value = node.value
+            else:
+                continue
+            if (
+                isinstance(value, ast.Tuple) and len(value.elts) == 2
+                and isinstance(value.elts[0], ast.Constant)
+                and isinstance(value.elts[0].value, str)
+            ):
+                codes.add(value.elts[0].value)
+    return codes
+
+
+def test_design_lists_every_decline_code():
+    """DESIGN §4f's list of ``wavefront.declined.<reason>`` codes names
+    exactly the codes the source can emit — no stale, no missing."""
+    design = open(os.path.join(ROOT, "DESIGN.md")).read()
+    section = design[design.index("## 4f."):design.index("## 4g.")]
+    listed = re.search(r"\(reasons:([^)]*)\)", section)
+    assert listed, "DESIGN §4f lost its decline-reason list"
+    documented = set(re.findall(r"`([a-z-]+)`", listed.group(1)))
+    emitted = _emitted_decline_codes()
+    assert {"validation", "disabled", "steps"} <= emitted
+    assert documented == emitted, (
+        f"stale: {sorted(documented - emitted)}, "
+        f"missing: {sorted(emitted - documented)}"
+    )

@@ -306,13 +306,14 @@ def test_memoized_model_equals_fresh_pricing(model, queries):
     """Any query sequence: the per-run cache returns exactly what a fresh
     model prices, and misses exactly once per distinct key."""
     make = _MODELS[model]
-    memo = MemoizedExecutionModel(make())
+    counting = _CountingModel(make())
+    memo = MemoizedExecutionModel(counting)
     for k, units, rid, penalty in queries:
         kernel = _KERNELS[k]
         got = memo.phase_cost(kernel, units, rid, penalty)
         assert got == make().phase_cost(kernel, units, rid, penalty)
     distinct = {(_KERNELS[k], u, r, p) for k, u, r, p in queries}
-    assert memo.generation == memo.cache_size == len(distinct)
+    assert counting.calls == memo.cache_size == len(distinct)
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,14 +479,23 @@ def test_run_leaves_no_cyclic_garbage(bench_name):
     [
         ("minisweep", 8, dict(sim_steps=8), "wavefront"),
         ("lbm", 24, dict(sim_steps=10), "fast_forward"),
+        ("hpgmgfv", 4 * CLUSTER_A.cores_per_node, dict(sim_steps=8), None),
     ],
-    ids=["wavefront", "sync"],
+    ids=["wavefront", "sync", "declined"],
 )
 def test_replay_tier_run_leaves_no_cyclic_garbage(bench_name, nprocs, kwargs, tier):
     """The replay controller holds the runtime; the tier's metrics must
-    not be hung back on the runtime, or the pair keeps the run alive."""
+    not be hung back on the runtime, or the pair keeps the run alive.
+
+    The declined row fails validation after the ranks parked, so its
+    world is stopped and the job re-runs in full DES: neither the parked
+    rank generators nor the raising process's traceback (a process ↔
+    error cycle) may outlive the re-run."""
     garbage, meta = _cyclic_garbage(get_benchmark(bench_name), nprocs, **kwargs)
-    assert meta[tier] is True
+    if tier is None:
+        assert meta["metrics"]["wavefront"] == {"declined.validation": 1.0}
+    else:
+        assert meta[tier] is True
     assert garbage == 0
 
 

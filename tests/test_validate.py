@@ -12,6 +12,7 @@ from repro.smpi.mailbox import ANY_SOURCE, Mailbox, RecvPost, SendArrival
 from repro.spechpc.suite import get_benchmark
 from repro.validate.differential import (
     REFERENCE_MODE,
+    Mode,
     differential_run,
     flag_matrix,
 )
@@ -187,6 +188,40 @@ def test_differential_run_workers_axis():
     )
     assert rep.ok
     assert rep.modes == 7  # 6 engine modes + the workers=2 sweep
+
+
+@pytest.mark.parametrize(
+    ("bench_name", "engaged"),
+    [
+        ("lbm", {"linear+ff", "linear+wf", "indexed+ff", "indexed+wf"}),
+        # the sync-only mode declines: minisweep has no collective boundary
+        ("minisweep", {"linear+wf", "indexed+wf"}),
+    ],
+)
+def test_differential_default_engages_replay_tiers(
+    bench_name, engaged, monkeypatch
+):
+    """With its default step count the differential's tier axis compares
+    an engaged replay tier with the full DES, not the DES with itself."""
+    import repro.harness.runner as runner_mod
+
+    real_run = runner_mod.run
+    seen = {}
+
+    def spy(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        if not kwargs.get("trace"):
+            mode = Mode(matcher=kwargs["matcher"],
+                        fast_forward=kwargs["fast_forward"],
+                        wavefront=kwargs["wavefront"])
+            seen[mode.label] = result.meta["fast_forward"]
+        return result
+
+    monkeypatch.setattr(runner_mod, "run", spy)
+    rep = differential_run(bench_name, "A", 8, workers=False)
+    assert rep.ok
+    assert len(seen) == 6
+    assert {label for label, on in seen.items() if on} == engaged
 
 
 # --- invariants --------------------------------------------------------------

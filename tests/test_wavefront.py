@@ -1,7 +1,7 @@
 """Tests for the wavefront replay tier (precomputed KBA dependency DAG
 with vectorized level-set replay, :mod:`repro.spechpc.wavefront`).
 
-Four layers of evidence:
+Five layers of evidence:
 
 * a hand-computed 3-rank DAG whose level-set clocks are derived inline
   with the engine's documented arithmetic and compared to the bit;
@@ -10,6 +10,9 @@ Four layers of evidence:
   with the tier on and off;
 * eligibility: anything that perturbs or observes individual steps
   declines the tier, with the decline reason surfaced as a metric;
+* exact decline: a validation failure forced after the ranks parked
+  gives the tiers-off fingerprint, for skewed and synchronized
+  boundaries alike;
 * the golden-corpus grid replayed with the tier *forced* on
   (``fast_forward=False`` leaves only the wavefront tier) against the
   full-fidelity reference.
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan, SlowRank
 from repro.harness import run
+from repro.harness.runner import engine_run_count
 from repro.machine import CLUSTER_A
 from repro.machine.registry import get_cluster
 from repro.spechpc import get_benchmark
@@ -243,6 +247,60 @@ def test_wavefront_engaged_metrics():
     assert wf["eligible"] == 1.0
     assert wf["levels"] > 0
     assert wf["events_saved"] > 0
+
+
+# --------------------------------------------------------------------------
+# exact decline
+# --------------------------------------------------------------------------
+
+
+def _fail_validation(monkeypatch):
+    """Make every 1-step validation replay (no stats) land 1 s late."""
+    program_run, scalar_run = WavefrontProgram.run, Replayer.run
+
+    def program(self, t_start, nsteps, stats=None):
+        clocks = program_run(self, t_start, nsteps, stats)
+        if nsteps == 1 and stats is None:
+            return [t + 1.0 for t in clocks]
+        return clocks
+
+    def scalar(self, t_start, nsteps):
+        clocks = scalar_run(self, t_start, nsteps)
+        if nsteps == 1 and self.stats is None:
+            return [t + 1.0 for t in clocks]
+        return clocks
+
+    monkeypatch.setattr(WavefrontProgram, "run", program)
+    monkeypatch.setattr(Replayer, "run", scalar)
+
+
+@pytest.mark.parametrize(
+    ("bench_name", "tier"),
+    [
+        ("minisweep", "wavefront"),
+        ("weather", "wavefront"),
+        ("lbm", "fast_forward"),
+        ("tealeaf", "fast_forward"),
+    ],
+)
+def test_forced_decline_gives_full_des_answer(bench_name, tier, monkeypatch):
+    """A validation failure after every rank parked stops the world and
+    re-runs the job in full DES, so the result equals the tiers-off
+    reference.  minisweep and weather park at skewed clocks: resuming
+    them in place would restart every early rank at the last arrival's
+    clock."""
+    bench = get_benchmark(bench_name)
+    ref = run(bench, CLUSTER_A, 72, sim_steps=8,
+              fast_forward=False, wavefront=False)
+    assert run(bench, CLUSTER_A, 72, sim_steps=8).meta[tier] is True
+    _fail_validation(monkeypatch)
+    before = engine_run_count()
+    declined = run(bench, CLUSTER_A, 72, sim_steps=8)
+    assert engine_run_count() - before == 2
+    assert declined.meta["metrics"]["wavefront"] == {"declined.validation": 1.0}
+    assert declined.meta["fast_forward"] is False
+    assert declined.meta["wavefront"] is False
+    assert fingerprint(declined) == fingerprint(ref)
 
 
 # --------------------------------------------------------------------------
