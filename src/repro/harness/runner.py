@@ -118,10 +118,11 @@ def run(
         both tiers under the same gating;
         ``fast_forward=False, wavefront=True`` forces the wavefront tier
         even for structures the synchronized tier could handle (the
-        validation configuration).  If a check fails after the ranks
-        parked at the tier decision, the job re-runs with both tiers
-        off: the result is the full-DES one, ``meta["metrics"]
-        ["wavefront"]`` records ``declined.validation``, and
+        validation configuration).  The ranks park at the tier
+        decision; if no tier applies there or a check fails, the job
+        re-runs with both tiers off: the result is the full-DES one,
+        ``meta["metrics"]["wavefront"]`` records
+        ``declined.<code>`` (e.g. ``declined.validation``), and
         :func:`engine_run_count` counts both executions.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` to inject (slow ranks,
@@ -268,10 +269,10 @@ def run(
         try:
             ctx, runtime, job = launch(tiers=True)
         except _ParkDeclined as stop:
-            # a check failed after the ranks parked: drop the traceback
-            # that pins the stopped world, and re-run in full DES
+            # the tier declined after the ranks parked: drop the
+            # traceback that pins the stopped world, and re-run in full DES
             stop.__traceback__ = None
-            tier_declined = ("validation", str(stop))
+            tier_declined = stop.declined
     if job is None:
         ctx, runtime, job = launch(tiers=False)
     ctl = ctx.fast_forward

@@ -30,35 +30,37 @@ synchronized tier here (every step ends in a full-communicator
 collective, so all ranks cross each boundary at one instant) and the
 wavefront tier of :mod:`repro.spechpc.wavefront` (skewed boundaries).
 
-* boundary 1: attach a :class:`StepRecorder`; steps 1 and 2 are journaled
-  as per-rank op lists (constants only — no absolute times).
-* boundary 3 (DECIDE): detach; the last rank checks *eligibility* — no
-  unsupported ops (wildcards, payload-carrying sends, data reductions)
-  and both journals bitwise equal on every rank — then arms a tier: the
-  synchronized one when its boundaries are synchronized, else a
-  compiled :class:`~repro.spechpc.wavefront.WavefrontProgram`.  A
-  decline here costs nothing: no rank has waited, and the run simply
-  continues in full DES.
-* boundary 4 (PARK): ranks park on the decision signal.  The last
-  arrival verifies quiescence (mailboxes empty, no pending events) and
-  **validates** the step the engine just simulated: replayed from the
-  DECIDE clocks on the scalar :class:`Replayer` and on the compiled
-  program (for the synchronized tier a :class:`VectorReplayer`, when
-  the journals are column-uniform), it must land every rank exactly on
-  its observed PARK clock.
-  Then it replays all remaining steps, applying per-rank statistics
-  directly, and fires the signal with every rank's final clock; ranks
-  land on it and their bodies finish.
+* boundary 0: attach a :class:`StepRecorder`; steps 0 and 1 are journaled
+  as per-rank op lists (constants only — no absolute times).  No body
+  does MPI work before its step loop, so every rank enters step 0 at
+  t=0 with nothing in flight.
+* boundary 1: note every rank's clock (the validation start).
+* boundary 2 (PARK): every rank parks on the decision signal.  The last
+  arrival detaches the recorder and decides: no unsupported ops
+  (wildcards, payload-carrying sends, data reductions) and both
+  journals bitwise equal on every rank, then the synchronized tier when
+  its boundaries are synchronized, else a compiled
+  :class:`~repro.spechpc.wavefront.WavefrontProgram`.  It verifies
+  quiescence (mailboxes empty, no pending events) and **validates**
+  step 1, which the engine just simulated: replayed from the boundary-1
+  clocks on the scalar :class:`Replayer` and on the compiled program
+  (for the synchronized tier a :class:`VectorReplayer`, when the
+  journals are column-uniform), it must land every rank exactly on its
+  observed boundary-2 clock.
+  Then it replays the remaining ``sim_steps - 2`` steps, applying
+  per-rank statistics directly, and fires the signal with every rank's
+  final clock; ranks land on it and their bodies finish.
 
-A check failing at PARK has one exit: the last rank raises a private
-exception that stops the DES world with no further step simulated, and
+A decline at PARK — no tier applies, or a check fails — has one exit:
+the last rank raises a private exception that carries the ``(code,
+reason)`` pair and stops the DES world with no further step simulated;
 :func:`~repro.harness.runner.run` re-executes the job with both tiers
-off (recording ``declined.validation``), so a decline yields the
-full-DES answer by construction.
+off (recording ``declined.<code>``), so a decline yields the full-DES
+answer by construction and pays the 2-step prologue twice.
 
 Fidelity is forced (the controller is never created) for runs with
 noise, fault injection, tracing, invariant checking, schedule
-perturbation, fewer than five steps, or both tiers off.  The shared
+perturbation, fewer than three steps, or both tiers off.  The shared
 gating lives in :func:`replay_ineligibility`.
 """
 
@@ -772,11 +774,17 @@ class _NotUniform(Exception):
 # --------------------------------------------------------------------------
 
 class _ParkDeclined(Exception):
-    """A check failed after every rank parked.  Raised by the last rank
-    at the PARK boundary, it stops the DES world with no further step
-    simulated; :meth:`~repro.smpi.runtime.MpiRuntime.launch` lets it
-    through and :func:`~repro.harness.runner.run` re-executes the job
-    with both replay tiers off."""
+    """No tier applied, or a check failed, after every rank parked.
+    Raised by the last rank at the PARK boundary with the controller's
+    ``(code, reason)`` decline, it stops the DES world with no further
+    step simulated;
+    :meth:`~repro.smpi.runtime.MpiRuntime.launch` lets it through and
+    :func:`~repro.harness.runner.run` re-executes the job with both
+    replay tiers off, recording that code."""
+
+    def __init__(self, declined: tuple[str, str]) -> None:
+        super().__init__(declined[1])
+        self.declined = declined
 
 
 class ReplayController:
@@ -789,10 +797,10 @@ class ReplayController:
     on, the synchronized tier is tried first.
     """
 
-    #: boundary indices of the protocol (see module docstring)
-    RECORD_FIRST = 1
-    DECIDE = 3
-    PARK = 4
+    #: boundary indices of the protocol (see module docstring): steps
+    #: ``RECORD_FIRST`` .. ``PARK - 1`` are journaled, ranks park at PARK
+    RECORD_FIRST = 0
+    PARK = 2
 
     def __init__(self, runtime: "MpiRuntime", sim_steps: int,
                  fast_forward: bool = True, wavefront: bool = True) -> None:
@@ -808,12 +816,10 @@ class ReplayController:
         self._boundary_now: dict[int, list] = {}
         self._arrived: dict[int, int] = {}
         self._park_signal = Signal("replay-decision")
-        #: "sync" | "wavefront" once the DECIDE boundary armed a tier
+        #: "sync" | "wavefront" once the PARK boundary chose a tier
         self.mode: Optional[str] = None
-        #: the wavefront tier's compiled program, armed at DECIDE
+        #: the wavefront tier's compiled program
         self.program = None
-        #: ``(code, reason)`` while no tier has committed
-        self.declined = ("undecided", "the run ended before the tier decision")
         self.engaged = False
         #: replay depth and analytically-skipped op count, set on commit
         #: (the sync tier reports its column count as depth)
@@ -824,28 +830,23 @@ class ReplayController:
 
     def boundary(self, comm: "Communicator", idx: int) -> Optional[Signal]:
         """Called by every rank right before it starts step ``idx``.
-        Returns the signal to park on at an armed PARK boundary, else
-        None."""
+        Returns the signal to park on at the PARK boundary, else None."""
         rt = self.runtime
         rank = comm.rank
         if idx == self.RECORD_FIRST:
             if self.recorder is None:
                 self.recorder = rt.recorder = StepRecorder(self.nprocs)
             self.recorder.begin_step(rank)
-        elif idx == self.RECORD_FIRST + 1:
-            self._end_journal(idx - 1, rank)
+            return None
+        self._end_journal(idx - 1, rank)
+        last = self._note_boundary(idx, rank, rt.sim.now)
+        if idx < self.PARK:
             self.recorder.begin_step(rank)
-            self._note_boundary(idx, rank, rt.sim.now)
-        elif idx == self.DECIDE:
-            self._end_journal(idx - 1, rank)
-            if self._note_boundary(idx, rank, rt.sim.now):
-                rt.recorder = None
-                self._decide()
-        elif idx == self.PARK and self.mode is not None:
-            if self._note_boundary(idx, rank, rt.sim.now):
-                self._park_signal.fire(self._execute())
-            return self._park_signal
-        return None
+            return None
+        if last:
+            rt.recorder = None
+            self._park_signal.fire(self._execute())
+        return self._park_signal
 
     def _end_journal(self, step: int, rank: int) -> None:
         journals = self._journals.setdefault(step, [None] * self.nprocs)
@@ -869,10 +870,10 @@ class ReplayController:
         rec = self.recorder
         if rec.unsupported is not None:
             return ("unsupported-op", f"unsupported op: {rec.unsupported}")
-        j1 = self._journals[self.RECORD_FIRST]
-        j2 = self._journals[self.RECORD_FIRST + 1]
+        j0 = self._journals[self.RECORD_FIRST]
+        j1 = self._journals[self.PARK - 1]
         for r in range(self.nprocs):
-            if j1[r] != j2[r]:
+            if j0[r] != j1[r]:
                 return ("not-periodic", f"rank {r} step structure not periodic")
         return None
 
@@ -880,7 +881,7 @@ class ReplayController:
         """Checks specific to the *synchronized* replay tier: every step
         ends in a full-communicator collective and all ranks cross each
         boundary at one instant."""
-        j1 = self._journals[self.RECORD_FIRST]
+        j1 = self._journals[self.PARK - 1]
         for r in range(self.nprocs):
             if not j1[r] or j1[r][-1][0] != "coll":
                 return (
@@ -888,108 +889,108 @@ class ReplayController:
                     f"rank {r} step does not end in a collective "
                     "(boundaries not globally synchronized)",
                 )
-        for idx in (self.RECORD_FIRST + 1, self.DECIDE):
+        for idx in (self.PARK - 1, self.PARK):
             nows = self._boundary_now[idx]
             if any(t != nows[0] for t in nows):
                 return ("boundaries-skewed", "step boundaries not synchronized")
         return None
 
-    def _decide(self) -> None:
-        """Last rank at the DECIDE boundary: arm a tier for the PARK
-        boundary, or record why none applies (nothing blocks here —
-        the ranks have already moved on)."""
+    def _decide(self) -> Optional[tuple[str, str]]:
+        """Choose a tier (``mode``, and the wavefront tier's compiled
+        ``program``), or return the ``(code, reason)`` none applies."""
         declined = self._common_decline_reason()
         if declined is not None:
-            self.declined = declined
-            return
+            return declined
         why = "synchronized tier disabled"
         if self.fast_forward:
             declined = self._sync_decline_reason()
             if declined is None:
                 self.mode = "sync"
-                return
+                return None
             if not self.wavefront:
-                self.declined = declined
-                return
+                return declined
             why = declined[1]
         from repro.spechpc.wavefront import WavefrontProgram  # import cycle
 
-        journals = self._journals[self.RECORD_FIRST + 1]
+        journals = self._journals[self.PARK - 1]
         try:
             self.program = WavefrontProgram.compile(journals, self.nprocs)
         except ReplayUnsupported as exc:
-            self.declined = ("structure", f"{why}; {exc}")
-            return
+            return ("structure", f"{why}; {exc}")
         self.mode = "wavefront"
+        return None
 
     # --- engagement ---------------------------------------------------------
 
     def _execute(self) -> list[float]:
-        """Last rank at the PARK boundary: check quiescence, validate the
-        DECIDE -> PARK step, and commit the remaining steps; returns
-        every rank's final clock.  Any failed check stops the world
-        instead (:class:`_ParkDeclined`)."""
+        """Last rank at the PARK boundary: choose a tier, then commit it;
+        returns every rank's final clock.  A decline of any kind stops
+        the world instead (:class:`_ParkDeclined`)."""
+        declined = self._decide()
+        if declined is None:
+            try:
+                return self._commit()
+            except ReplayUnsupported as exc:
+                declined = ("validation", str(exc))
+        # raised outside the handler, so the error chains no context
+        raise _ParkDeclined(declined)
+
+    def _commit(self) -> list[float]:
+        """Check quiescence, validate the last recorded step, and replay
+        the remaining steps on the chosen tier."""
         rt = self.runtime
-        journals = self._journals[self.RECORD_FIRST + 1]
-        t_decide = self._boundary_now[self.DECIDE]
+        journals = self._journals[self.PARK - 1]
+        t_start = self._boundary_now[self.PARK - 1]
         t_park = self._boundary_now[self.PARK]
         prog = self.program
         remaining = self.sim_steps - self.PARK
-        try:
-            if not all(m.idle() for m in rt.mailboxes):
-                raise ReplayUnsupported("in-flight messages at the boundary")
-            if rt.sim._heap or rt.sim._runq:
-                raise ReplayUnsupported("pending events at the boundary")
-            # validation: replaying the step the engine just simulated
-            # must land every rank bitwise on its observed PARK clock,
-            # on the scalar replayer and on the compiled program alike
-            if Replayer(journals, self.nprocs).run(t_decide, 1) != t_park:
-                raise ReplayUnsupported(
-                    "validation failed: scalar replay does not reproduce "
-                    "the simulated boundary clocks"
-                )
-            if prog is None:
-                # the sync tier compiles only here, where neither the DES
-                # step nor the scalar check holds memory (peak RSS):
-                # column-uniform structures replay vectorized across
-                # ranks, anything else on the scalar replayer
-                prog = VectorReplayer.compile(journals, self.nprocs)
-            if prog is not None and prog.run(t_decide, 1) != t_park:
-                raise ReplayUnsupported(
-                    f"validation failed: compiled {self.mode} replay does "
-                    "not reproduce the simulated boundary clocks"
-                )
-            if prog is None:
-                finals = Replayer(journals, self.nprocs, stats=rt.stats).run(
-                    t_park, remaining
-                )
-            else:
-                finals = prog.run(t_park, remaining, stats=rt.stats)
-        except ReplayUnsupported as exc:
-            reason = str(exc)
-        else:
-            self.engaged = True
-            self.levels = (
-                prog.nlevels if self.mode == "wavefront"
-                else max(len(j) for j in journals)
+        if not all(m.idle() for m in rt.mailboxes):
+            raise ReplayUnsupported("in-flight messages at the boundary")
+        if rt.sim._heap or rt.sim._runq:
+            raise ReplayUnsupported("pending events at the boundary")
+        # validation: replaying the step the engine just simulated must
+        # land every rank bitwise on its observed PARK clock, on the
+        # scalar replayer and on the compiled program alike
+        if Replayer(journals, self.nprocs).run(t_start, 1) != t_park:
+            raise ReplayUnsupported(
+                "validation failed: scalar replay does not reproduce "
+                "the simulated boundary clocks"
             )
-            self.events_saved = remaining * sum(len(j) for j in journals)
-            return finals
-        # raised outside the handler, so the error chains no context
-        raise _ParkDeclined(reason)
+        if prog is None:
+            # the sync tier compiles only here, where neither the DES
+            # step nor the scalar check holds memory (peak RSS):
+            # column-uniform structures replay vectorized across ranks,
+            # anything else on the scalar replayer
+            prog = VectorReplayer.compile(journals, self.nprocs)
+        if prog is not None and prog.run(t_start, 1) != t_park:
+            raise ReplayUnsupported(
+                f"validation failed: compiled {self.mode} replay does "
+                "not reproduce the simulated boundary clocks"
+            )
+        if prog is None:
+            finals = Replayer(journals, self.nprocs, stats=rt.stats).run(
+                t_park, remaining
+            )
+        else:
+            finals = prog.run(t_park, remaining, stats=rt.stats)
+        self.engaged = True
+        self.levels = (
+            prog.nlevels if self.mode == "wavefront"
+            else max(len(j) for j in journals)
+        )
+        self.events_saved = remaining * sum(len(j) for j in journals)
+        return finals
 
     # --- observability -------------------------------------------------------
 
     def metrics(self) -> dict[str, float]:
-        """Post-run tier-decision counters (the ``wavefront`` metrics
-        source; see :mod:`repro.obs.metrics`)."""
-        if self.engaged:
-            return {
-                "eligible": 1.0,
-                "levels": float(self.levels),
-                "events_saved": float(self.events_saved),
-            }
-        return {f"declined.{self.declined[0]}": 1.0}
+        """Post-run counters of the committed replay (the ``wavefront``
+        metrics source; see :mod:`repro.obs.metrics`)."""
+        return {
+            "eligible": 1.0,
+            "levels": float(self.levels),
+            "events_saved": float(self.events_saved),
+        }
 
 
 class StepLoop:

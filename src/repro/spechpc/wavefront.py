@@ -9,13 +9,14 @@ has **no collective at all** (Table 1) and its rendezvous serialization
 ripple (Sect. 4.1.5) keeps the pipeline *skewed* — rank clocks at a step
 boundary differ by design.  This module holds the second replay tier,
 for exactly that shape: the compiled program the
-:class:`~repro.spechpc.fastforward.ReplayController` arms at the DECIDE
-boundary when the synchronized tier declines (or is switched off).
+:class:`~repro.spechpc.fastforward.ReplayController` chooses at the PARK
+boundary (boundary 2) when the synchronized tier declines (or is
+switched off).
 
 How it works
 ------------
-The journaling protocol is the controller's (two recorded steps,
-periodicity check, validation step).  What differs is the replay:
+The journaling protocol is the controller's (steps 0 and 1 recorded,
+periodicity check, step 1 validated).  What differs is the replay:
 
 * **DAG compilation** — the per-rank op journals are compiled *once* into
   a dependency DAG over their send/receive *post nodes*: each op depends
@@ -45,7 +46,7 @@ time is computed by the engine's own expressions (``_wait_step``, the
 left-associated rendezvous sum) — **no** max-plus path-weight
 precomputation, which would re-associate the adds and drift by ulps.
 Before committing, the compiled program must reproduce the engine's own
-observed validation step (DECIDE -> PARK boundary clocks) bitwise, and
+observed step 1 (boundary-1 -> boundary-2 clocks) bitwise, and
 the scalar :class:`~repro.spechpc.fastforward.Replayer` is cross-checked
 on the same step.  A failure there stops the parked world and the
 harness re-runs the job in full DES, so a decline is exact too.

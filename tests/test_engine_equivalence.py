@@ -19,6 +19,7 @@ from repro.machine import CLUSTER_A
 from repro.perfmon.trace import TraceCollector
 from repro.smpi.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, SendArrival
 from repro.spechpc import get_benchmark
+from repro.validate.golden import fingerprint
 
 
 # --------------------------------------------------------------------------
@@ -164,17 +165,41 @@ def test_reference_flags_independently_bit_identical(flags):
         dict(trace=True),
         dict(trace="streaming"),
         dict(perturb_seed=0),
-        dict(sim_steps=4),
+        dict(sim_steps=2),
         dict(faults=FaultPlan(slow_ranks=(SlowRank(rank=1, factor=2.0),))),
     ],
     ids=["noise", "trace", "streaming-trace", "perturb", "short", "faults"],
 )
 def test_fast_forward_forced_off(kwargs):
     """Anything that perturbs or observes individual steps forces full
-    event-level fidelity."""
+    event-level fidelity, and so does a run with no step left after the
+    2-step prologue."""
     kwargs.setdefault("sim_steps", 8)
     r = run(get_benchmark("lbm"), CLUSTER_A, 12, **kwargs)
     assert r.meta["fast_forward"] is False
+
+
+def test_fast_forward_engages_at_three_steps():
+    """Three steps leave one step after the 2-step prologue: the tier
+    engages and the result is bit-identical to full simulation."""
+    bench = get_benchmark("lbm")
+    fast = run(bench, CLUSTER_A, 12, sim_steps=3)
+    ref = run(bench, CLUSTER_A, 12, sim_steps=3, **_REF)
+    assert fast.meta["fast_forward"] is True
+    assert fingerprint(fast) == fingerprint(ref)
+
+
+def test_prologue_simulates_two_steps():
+    """An engaged run simulates only steps 0 and 1 in the event engine:
+    at 8 steps it processes fewer engine events than a full-DES run of
+    3 steps."""
+    bench = get_benchmark("lbm")
+    engaged = run(bench, CLUSTER_A, 12, sim_steps=8)
+    off = run(bench, CLUSTER_A, 12, sim_steps=3,
+              fast_forward=False, wavefront=False)
+    assert engaged.meta["fast_forward"] is True
+    events = engaged.meta["metrics"]["engine"]["events"]
+    assert events < off.meta["metrics"]["engine"]["events"]
 
 
 def test_fast_forward_noisy_run_unchanged_by_flag():

@@ -3,13 +3,17 @@
 Every checked-in fingerprint in ``tests/golden/`` is replayed and must
 match byte-for-byte.  1-node cases run in the default test lane; the
 4-node cases carry the ``golden`` marker for the dedicated CI lane
-(``pytest -m golden``).
+(``pytest -m golden``).  The same production runs feed a replay-tier
+census: at its default step count every case engages a replay tier or
+is too short for one, and none re-runs in full DES.
 """
 
+import functools
 import os
 
 import pytest
 
+from repro.harness.runner import engine_run_count
 from repro.validate import golden as G
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -18,9 +22,18 @@ CASES_1NODE = [c for c in G.golden_cases() if c.nnodes == 1]
 CASES_4NODE = [c for c in G.golden_cases() if c.nnodes == 4]
 
 
+@functools.lru_cache(maxsize=None)
+def _run(case: G.GoldenCase):
+    """One production run of ``case`` and the engine executions it took
+    (shared by the fingerprint and census checks)."""
+    before = engine_run_count()
+    result = G.run_case(case)
+    return result, engine_run_count() - before
+
+
 def _check(case: G.GoldenCase) -> None:
     expected = G.load_fingerprint(GOLDEN_DIR, case)
-    actual = G.compute_fingerprint(case)
+    actual = G.fingerprint(_run(case)[0])
     if actual.digest != expected.digest:
         diff = G.record_diff(expected.record, actual.record)
         pytest.fail(
@@ -39,6 +52,28 @@ def test_golden_1node(case):
 @pytest.mark.parametrize("case", CASES_4NODE, ids=lambda c: c.slug)
 def test_golden_4node(case):
     _check(case)
+
+
+def _census(case: G.GoldenCase) -> None:
+    """Runs of three or more steps engage a tier after the 2-step
+    prologue; shorter ones decline ``steps`` up front."""
+    result, engine_runs = _run(case)
+    tier = result.meta["metrics"]["wavefront"]
+    steps = result.meta["sim_steps"]
+    assert engine_runs == 1, f"{case.slug} re-ran in full DES: {tier}"
+    expected = {"eligible"} if steps >= 3 else {"declined.steps"}
+    assert expected <= set(tier), f"{case.slug} at {steps} steps: {tier}"
+
+
+@pytest.mark.parametrize("case", CASES_1NODE, ids=lambda c: c.slug)
+def test_tier_census_1node(case):
+    _census(case)
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("case", CASES_4NODE, ids=lambda c: c.slug)
+def test_tier_census_4node(case):
+    _census(case)
 
 
 def test_corpus_is_complete():

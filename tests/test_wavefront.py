@@ -12,7 +12,7 @@ Five layers of evidence:
   declines the tier, with the decline reason surfaced as a metric;
 * exact decline: a validation failure forced after the ranks parked
   gives the tiers-off fingerprint, for skewed and synchronized
-  boundaries alike;
+  boundaries alike, and a decision decline records its own code;
 * the golden-corpus grid replayed with the tier *forced* on
   (``fast_forward=False`` leaves only the wavefront tier) against the
   full-fidelity reference.
@@ -222,7 +222,7 @@ def test_minisweep_configs_fingerprint_identical(nprocs, blocks, recv_first):
          "faults"),
         (dict(trace=True), "tracing"),
         (dict(perturb_seed=0), "perturb"),
-        (dict(sim_steps=4), "steps"),
+        (dict(sim_steps=2), "steps"),
         (dict(fast_forward=False, wavefront=False), "disabled"),
     ],
     ids=["noise", "faults", "tracing", "perturb", "short", "disabled"],
@@ -236,6 +236,17 @@ def test_wavefront_declines(kwargs, code):
     assert r.meta["wavefront"] is False
     assert r.meta["fast_forward"] is False
     assert r.meta["metrics"]["wavefront"] == {f"declined.{code}": 1.0}
+
+
+def test_wavefront_engages_at_three_steps():
+    """Three steps leave one step after the 2-step prologue: the tier
+    engages and the result is bit-identical to full simulation."""
+    bench = get_benchmark("minisweep")
+    on = run(bench, CLUSTER_A, 8, sim_steps=3)
+    off = run(bench, CLUSTER_A, 8, sim_steps=3,
+              fast_forward=False, wavefront=False)
+    assert on.meta["wavefront"] is True
+    assert fingerprint(on) == fingerprint(off)
 
 
 def test_wavefront_engaged_metrics():
@@ -301,6 +312,23 @@ def test_forced_decline_gives_full_des_answer(bench_name, tier, monkeypatch):
     assert declined.meta["fast_forward"] is False
     assert declined.meta["wavefront"] is False
     assert fingerprint(declined) == fingerprint(ref)
+
+
+def test_decision_decline_records_its_code():
+    """A decline at the tier decision re-runs the job in full DES like a
+    validation failure, and records the decision's own code: minisweep
+    with only the synchronized tier allowed has no closing collective."""
+    bench = get_benchmark("minisweep")
+    ref = run(bench, CLUSTER_A, 8, sim_steps=8,
+              fast_forward=False, wavefront=False)
+    before = engine_run_count()
+    sync_only = run(bench, CLUSTER_A, 8, sim_steps=8, wavefront=False)
+    assert engine_run_count() - before == 2
+    assert sync_only.meta["metrics"]["wavefront"] == {
+        "declined.no-collective-boundary": 1.0
+    }
+    assert sync_only.meta["fast_forward"] is False
+    assert fingerprint(sync_only) == fingerprint(ref)
 
 
 # --------------------------------------------------------------------------
