@@ -65,6 +65,40 @@ class ClusterSpec:
             )
         return node_idx, self.node.locate(core)
 
+    def full_node_ranks(self, nnodes: int, threads: int = 1) -> int:
+        """Rank count that fully populates ``nnodes`` nodes when each
+        rank reserves ``threads`` cores: ``cores_per_node // threads``
+        ranks per node (a remainder of cores stays idle)."""
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
+        if threads > self.node.cores:
+            raise ValueError(
+                f"threads={threads} exceeds the {self.node.cores} cores "
+                f"of one {self.name} node"
+            )
+        return nnodes * (self.node.cores // threads)
+
+    def domain_population(self, rank: int, nprocs: int, threads: int = 1) -> int:
+        """How many of ``nprocs`` ranks start in ``rank``'s ccNUMA domain.
+
+        Compact pinning puts rank *r* on first core ``r * threads``, and
+        domains split the flat core numbering into blocks of
+        ``cores_per_domain`` (it divides the socket), so the ranks of
+        the domain ``[lo, lo + cpd)`` are ``[ceil(lo / t),
+        ceil((lo + cpd) / t))`` clipped to the job: O(1), exact.
+        """
+        if rank < 0:
+            raise ValueError("rank must be non-negative")
+        first = rank * threads
+        if first >= self.max_ranks():
+            raise ValueError(
+                f"rank {rank} exceeds cluster capacity "
+                f"({self.max_nodes} nodes x {self.node.cores} cores)"
+            )
+        cpd = self.node.cores_per_domain
+        lo = first // cpd * cpd
+        return min(nprocs, -(-(lo + cpd) // threads)) - -(-lo // threads)
+
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         """True if two ranks are placed on the same node."""
         return self.place(rank_a)[0] == self.place(rank_b)[0]

@@ -179,8 +179,10 @@ def _walk_rank(
         if dt > 0.0:
             kinds[kind] = kinds.get(kind, 0.0) + dt
 
+    # exact-class dispatch: the recorder emits no op subclasses
     for op in prof.ops:
-        if isinstance(op, ComputeOp):
+        cls = op.__class__
+        if cls is ComputeOp:
             t += op.seconds
             comp += op.seconds
             add_kind("compute", op.seconds)
@@ -192,22 +194,22 @@ def _walk_rank(
             counters["busy_seconds"] += op.busy_seconds
             counters["heat_seconds"] += op.heat_seconds
             counters["heat_busy_seconds"] += op.heat_busy_seconds
-        elif isinstance(op, SendPost):
+        elif cls is SendPost:
             pending[op.req] = ("send", op.dest, op.nbytes, t)
             sends_q.append((t, op.nbytes, op.dest))
             last_send_bytes = op.nbytes
             counters["messages"] += 1
             counters["msg_bytes"] += op.nbytes
-        elif isinstance(op, RecvPost):
+        elif cls is RecvPost:
             pending[op.req] = ("recv", op.source, 0, t)
-        elif isinstance(op, (WaitOne, WaitAll)):
-            rids = (op.req,) if isinstance(op, WaitOne) else op.reqs
+        elif cls is WaitOne or cls is WaitAll:
+            rids = (op.req,) if cls is WaitOne else op.reqs
             tc = max((completion(r) for r in rids), default=t)
             if tc > t:
                 add_kind(op.kind, tc - t)
                 p2p_wait += tc - t
                 t = tc
-        elif isinstance(op, BlockingSend):
+        elif cls is BlockingSend:
             dur = net.ptp_time(op.nbytes, intra(op.dest))
             last_send_bytes = op.nbytes
             counters["messages"] += 1
@@ -215,12 +217,12 @@ def _walk_rank(
             add_kind("MPI_Send", dur)
             p2p_wait += dur
             t += dur
-        elif isinstance(op, BlockingRecv):
+        elif cls is BlockingRecv:
             dur = net.ptp_time(last_send_bytes, intra(op.source))
             add_kind("MPI_Recv", dur)
             p2p_wait += dur
             t += dur
-        elif isinstance(op, SendRecv):
+        elif cls is SendRecv:
             nbytes = max(op.send_bytes, op.recv_bytes)
             dur = net.ptp_time(nbytes, intra(op.dest))
             counters["messages"] += 1
@@ -228,7 +230,7 @@ def _walk_rank(
             add_kind("MPI_Sendrecv", dur)
             p2p_wait += dur
             t += dur
-        elif isinstance(op, Coll):
+        elif cls is Coll:
             segments.append(t - seg_start)
             colls.append((op.kind, op.nbytes))
             seg_start = t
@@ -266,12 +268,13 @@ def analytic_prediction(
     """Price a full run of ``benchmark`` analytically.
 
     Give either ``nnodes`` (fully populated nodes, the paper's scaling
-    axis) or an explicit ``nprocs``.
+    axis: :meth:`~repro.machine.cluster.ClusterSpec.full_node_ranks`)
+    or an explicit ``nprocs``.
     """
     if nprocs is None:
         if nnodes is None:
             raise ValueError("need nnodes or nprocs")
-        nprocs = nnodes * cluster.cores_per_node
+        nprocs = cluster.full_node_ranks(nnodes, threads)
     exec_model = ExecutionModel(cluster.node.cpu)
     ctx = make_context(cluster, benchmark, nprocs, suite, exec_model, threads)
     nnodes_used = ctx.nnodes

@@ -58,9 +58,12 @@ def strong_scaling_eligible(benchmark: str) -> bool:
 class PredictionSpec:
     """One prediction query on the paper's scaling axes.
 
-    ``nprocs=None`` means fully populated nodes (``nnodes`` x cores per
-    node, the paper's multi-node axis); an explicit ``nprocs`` expresses
-    domain-fill points (several rank counts on one node).  The
+    ``nprocs=None`` means fully populated nodes, the paper's multi-node
+    axis: ``nnodes x (cores per node // threads)`` ranks, so a hybrid
+    query (``threads > 1``) prices the ``nnodes`` it names with each rank
+    reserving ``threads`` cores; ``threads`` above the cores of one node
+    is rejected.  An explicit ``nprocs`` expresses domain-fill points
+    (several rank counts on one node).  The
     ``benchmark_obj`` / ``cluster_obj`` escape hatches let callers that
     already hold (possibly modified) spec objects — the sweep harness —
     bypass the registry lookup; they do not participate in equality.
@@ -92,8 +95,9 @@ class PredictionSpec:
         return bench, cluster
 
     def resolved_nprocs(self, cluster) -> int:
-        """The query's rank count (defaults to fully populated nodes)."""
-        return self.nprocs or self.nnodes * cluster.cores_per_node
+        """The query's rank count (defaults to fully populated nodes,
+        :meth:`~repro.machine.cluster.ClusterSpec.full_node_ranks`)."""
+        return self.nprocs or cluster.full_node_ranks(self.nnodes, self.threads)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ Profiling every rank would make Tier A O(nprocs) per query; instead
 :func:`sampled_ranks` picks a small set of representative ranks (always
 including both ends of the rank range, where decompositions put their
 remainder/boundary ranks) and weights each by the contiguous rank block
-it stands for.
+it stands for.  The one placement question a body asks, its ccNUMA
+domain population, is O(1) arithmetic
+(:meth:`~repro.machine.cluster.ClusterSpec.domain_population`), so a
+sampled rank's profile costs O(recorded ops), whatever the job size.
 """
 
 from __future__ import annotations
@@ -319,38 +322,17 @@ class RecordingComm:
 @dataclass
 class ProfilingContext(RunContext):
     """A :class:`RunContext` that needs no runtime: ccNUMA domain
-    populations are derived directly from the cluster's compact placement
-    (the same arithmetic :class:`~repro.smpi.runtime.MpiRuntime` applies),
-    and :meth:`step_loop` drives the one-step recording protocol."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._node_pops: dict[int, list[int]] = {}
+    populations come from
+    :meth:`~repro.machine.cluster.ClusterSpec.domain_population` (the
+    rule :class:`~repro.smpi.runtime.MpiRuntime` applies), and
+    :meth:`step_loop` drives the one-step recording protocol."""
 
     @property
     def nnodes(self) -> int:
         return self.cluster.nodes_for(self.nprocs * self.threads)
 
     def ranks_in_domain(self, rank: int) -> int:
-        node = self.cluster.node
-        cores = node.cores
-        t = self.threads
-        node_idx, core = divmod(rank * t, cores)
-        if node_idx >= self.cluster.max_nodes:
-            raise ValueError(
-                f"rank {rank} exceeds cluster capacity "
-                f"({self.cluster.max_nodes} nodes x {cores} cores)"
-            )
-        pops = self._node_pops.get(node_idx)
-        if pops is None:
-            # ranks whose first core lands on this node (compact pinning)
-            r_lo = -(-(node_idx * cores) // t)
-            r_hi = min(self.nprocs, -(-((node_idx + 1) * cores) // t))
-            pops = [0] * node.numa_domains
-            for r in range(r_lo, r_hi):
-                pops[node.locate(r * t - node_idx * cores).domain] += 1
-            self._node_pops[node_idx] = pops
-        return pops[node.locate(core).domain]
+        return self.cluster.domain_population(rank, self.nprocs, self.threads)
 
     def step_loop(self, comm: RecordingComm) -> _ProfileLoop:
         return _ProfileLoop(comm)

@@ -57,8 +57,10 @@ def _require(condition: bool, message: str) -> None:
 class ServeSpec:
     """One canonicalized serving request.
 
-    ``nprocs=None`` means fully populated nodes (``nnodes`` x cores per
-    node — the paper's multi-node axis); the resolved rank count is part
+    ``nprocs=None`` means fully populated nodes (``nnodes`` x
+    ``cores_per_node // threads`` ranks — the paper's multi-node axis,
+    see :meth:`~repro.machine.cluster.ClusterSpec.full_node_ranks`);
+    the resolved rank count is part
     of the canonical record so a later cluster-table change cannot alias
     two different runs onto one key.  Exactly one of ``cluster`` and
     ``scenario`` must be given; ``suite=None`` resolves to the
@@ -224,7 +226,12 @@ class ServeSpec:
             cluster = get_cluster(self.cluster)
         if self.nnodes > cluster.max_nodes:
             cluster = replace(cluster, max_nodes=self.nnodes)
-        nprocs = self.nprocs or self.nnodes * cluster.cores_per_node
+        try:
+            nprocs = self.nprocs or cluster.full_node_ranks(
+                self.nnodes, self.threads
+            )
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
         return bench, cluster, nprocs
 
     def fault_plan(self):

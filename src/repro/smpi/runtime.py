@@ -229,16 +229,6 @@ class MpiRuntime:
             for r, p in enumerate(self._placement)
         ]
         self._gates: dict[tuple[str, int], CollectiveGate] = {}
-        # placement is immutable, so per-domain rank counts can be tabulated
-        # once: ranks_in_domain() was O(nprocs) per call, which made the
-        # per-rank setup of every benchmark body O(nprocs^2) per run
-        domains = cluster.node.numa_domains
-        self._domain_ids = [
-            p[0] * domains + p[1].domain for p in self._placement
-        ]
-        self._domain_population: dict[int, int] = {}
-        for dom in self._domain_ids:
-            self._domain_population[dom] = self._domain_population.get(dom, 0) + 1
 
     # --- placement queries ----------------------------------------------------
 
@@ -247,14 +237,17 @@ class MpiRuntime:
 
     def domain_of(self, rank: int) -> int:
         """Global ccNUMA-domain id (node * domains_per_node + domain)."""
-        return self._domain_ids[rank]
+        first_core = rank * self.threads_per_rank
+        return first_core // self.cluster.node.cores_per_domain
 
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self._placement[rank_a][0] == self._placement[rank_b][0]
 
     def ranks_in_domain(self, rank: int) -> int:
         """How many ranks of this job share the given rank's ccNUMA domain."""
-        return self._domain_population[self._domain_ids[rank]]
+        return self.cluster.domain_population(
+            rank, self.nprocs, self.threads_per_rank
+        )
 
     # --- blocked-call bookkeeping ---------------------------------------------
 

@@ -3,11 +3,13 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import CLUSTER_A, CLUSTER_B
 from repro.machine.network import NetworkSpec
+from repro.model.execution import ExecutionModel
+from repro.predict.profile import make_context
 from repro.smpi.collectives import (
     allgather_cost,
     allreduce_cost,
@@ -18,6 +20,8 @@ from repro.smpi.collectives import (
     reduce_cost,
     scatter_cost,
 )
+from repro.smpi.runtime import MpiRuntime
+from repro.spechpc import get_benchmark
 
 NET = NetworkSpec()
 
@@ -97,6 +101,43 @@ def test_cluster_b_placement_roundtrip(rank):
     assert 0 <= node < CLUSTER_B.max_nodes
     assert node * CLUSTER_B.node.cores + loc.core == rank
     assert 0 <= loc.domain < CLUSTER_B.node.numa_domains
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_domain_population_matches_brute_force_placement(data):
+    """The O(1) ccNUMA population rule equals a count over
+    ``ClusterSpec.place``, and the dry-run profiler and the DES runtime
+    both answer with it."""
+    cluster = data.draw(st.sampled_from([CLUSTER_A, CLUSTER_B]))
+    threads = data.draw(st.integers(min_value=1, max_value=7))
+    nprocs = data.draw(
+        st.integers(min_value=1, max_value=cluster.max_ranks() // threads)
+    )
+    rank = data.draw(st.integers(min_value=0, max_value=nprocs - 1))
+
+    def domain(r):
+        node, loc = cluster.place(r * threads)
+        return node * cluster.node.numa_domains + loc.domain
+
+    mine = domain(rank)
+    expected = sum(1 for r in range(nprocs) if domain(r) == mine)
+    assert cluster.domain_population(rank, nprocs, threads) == expected
+    ctx = make_context(
+        cluster, get_benchmark("lbm"), nprocs, "tiny",
+        ExecutionModel(cluster.node.cpu), threads,
+    )
+    assert ctx.ranks_in_domain(rank) == expected
+    rt = MpiRuntime(cluster, nprocs, threads_per_rank=threads)
+    assert rt.ranks_in_domain(rank) == expected
+    assert rt.domain_of(rank) == mine
+
+
+def test_domain_population_rejects_ranks_beyond_capacity():
+    with pytest.raises(ValueError, match="exceeds cluster capacity"):
+        CLUSTER_A.domain_population(CLUSTER_A.max_ranks(), 1)
+    with pytest.raises(ValueError, match="exceeds cluster capacity"):
+        CLUSTER_A.domain_population(CLUSTER_A.max_ranks() // 2, 1, threads=2)
 
 
 @given(nprocs=st.integers(min_value=1, max_value=1728))

@@ -91,6 +91,41 @@ def test_analytic_capacity_raised_beyond_cluster_max():
     assert pred.runtime < one.runtime
 
 
+@pytest.mark.parametrize("cluster", ["A", "B"])
+def test_tier_a_prices_domains_without_locating_cores(cluster, monkeypatch):
+    """A domain population is O(1) arithmetic, so a 64-node query's
+    sampled profile never walks its node's cores (1168 ``locate`` calls
+    for lbm/A when each sampled rank rebuilt its node population)."""
+    from repro.machine.node import NodeSpec
+
+    calls = []
+    locate = NodeSpec.locate
+
+    def counting_locate(self, core):
+        calls.append(core)
+        return locate(self, core)
+
+    monkeypatch.setattr(NodeSpec, "locate", counting_locate)
+    pred = predict(PredictionSpec("lbm", cluster, 64), tier="analytic")
+    assert pred.energy.nnodes == 64
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("nnodes", [1, 64])
+def test_hybrid_query_prices_the_nodes_it_names(threads, nnodes):
+    spec = PredictionSpec("lbm", "A", nnodes, threads=threads)
+    pred = predict(spec, tier="analytic")
+    assert pred.energy.nnodes == nnodes
+    cluster = spec.resolve()[1]
+    assert spec.resolved_nprocs(cluster) == nnodes * (72 // threads)
+
+
+def test_hybrid_query_rejects_threads_beyond_one_node():
+    with pytest.raises(ValueError, match="exceeds the 72 cores"):
+        predict(PredictionSpec("lbm", "A", 1, threads=73), tier="analytic")
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PredictionSpec("lbm", "A", 0)

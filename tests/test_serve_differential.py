@@ -61,6 +61,20 @@ def test_default_nprocs_materialized_into_key():
     assert _key(nnodes=2) != _key(nnodes=2, nprocs=2 * cores - 1)
 
 
+def test_hybrid_nnodes_fills_nodes_with_rank_blocks():
+    # a threads=t spec on nnodes fully populated nodes runs
+    # cores_per_node // t ranks per node, not cores_per_node
+    cores = 72
+    assert _key(nnodes=2, threads=2) == _key(
+        nnodes=2, threads=2, nprocs=2 * cores // 2
+    )
+    assert ServeSpec.from_request(
+        {"benchmark": "lbm", "cluster": "A", "nnodes": 64, "threads": 4}
+    ).resolve()[2] == 64 * cores // 4
+    with pytest.raises(SpecError, match="exceeds the 72 cores"):
+        _key(threads=cores + 1)
+
+
 def test_every_result_changing_axis_moves_the_key():
     base = _key()
     assert _key(benchmark="tealeaf") != base
