@@ -206,7 +206,6 @@ def run(
     # whenever anything can perturb or observe individual steps — noise,
     # faults, tracing, invariants, perturbation — or no step is left
     from repro.spechpc.fastforward import (
-        PAPER_SCALE_RANKS,
         ReplayController,
         _ParkDeclined,
         replay_ineligibility,
@@ -234,9 +233,6 @@ def run(
             noise=noise,
             threads=threads_per_rank,
         )
-        # light-machinery hint: a small run without a replay tier skips
-        # the matching-stamp bookkeeping nothing will consume
-        light = not tiers and nprocs < PAPER_SCALE_RANKS and perturb_seed is None
         runtime = MpiRuntime(
             cluster,
             nprocs,
@@ -246,18 +242,18 @@ def run(
             matcher=matcher,
             perturb_seed=perturb_seed,
             checker=checker,
-            light=light,
         )
         ctx.runtime = runtime
+        body = benchmark.make_body(ctx)
         if tiers:
             ctx.fast_forward = ReplayController(
-                runtime, steps, fast_forward=fast_forward, wavefront=wavefront
+                runtime, body, steps, fast_forward=fast_forward,
+                wavefront=wavefront,
             )
         _engine_tally.bump()
         try:
             job = runtime.launch(
-                benchmark.make_body(ctx), max_events=max_events,
-                deadline=sim_time_limit,
+                body, max_events=max_events, deadline=sim_time_limit,
             )
         except _ParkDeclined:
             runtime.sim.abandon()

@@ -1,13 +1,18 @@
 """Dry-run step profiler: one benchmark step as a per-rank op list.
 
-Tier A needs each benchmark's *step structure* — the exact sequence of
-compute phases, point-to-point calls, and collectives one rank executes
-per representative step — without paying for the event engine.  The
-benchmark bodies already encode that structure as generators over a
-:class:`~repro.smpi.comm.Communicator`; this module drives a body with a
-:class:`RecordingComm` (every MPI method records a constant-only op and
-returns immediately — no events, no virtual time) through exactly one
-step of a fake :class:`StepLoop`, yielding a :class:`RankProfile`.
+Tier A and the replay tiers need each benchmark's *step structure* — the
+exact sequence of compute phases, point-to-point calls, and collectives
+one rank executes per representative step — without paying for the
+event engine.  The benchmark bodies already encode that structure as
+generators over a :class:`~repro.smpi.comm.Communicator`; this module
+drives a body with a :class:`RecordingComm` (every MPI method records a
+constant-only op and returns immediately — no events, no virtual time)
+through exactly one step of a fake
+:class:`~repro.spechpc.fastforward.StepLoop`, yielding a
+:class:`RankProfile`.  The replay tiers' controller dry-runs *every*
+rank this way and lowers the ops to its replay journal
+(:func:`~repro.spechpc.fastforward.lower_step`); Tier A ignores the
+message tags that lowering needs.
 
 The profiler is exact about structure and counters: the op list contains
 the same phase costs (priced by the real
@@ -68,12 +73,14 @@ class SendPost:
     req: int
     dest: int
     nbytes: int
+    tag: int
 
 
 @dataclass(frozen=True)
 class RecvPost:
     req: int
     source: int
+    tag: int
 
 
 @dataclass(frozen=True)
@@ -92,11 +99,13 @@ class WaitAll:
 class BlockingSend:
     dest: int
     nbytes: int
+    tag: int
 
 
 @dataclass(frozen=True)
 class BlockingRecv:
     source: int
+    tag: int
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,7 @@ class SendRecv:
     send_bytes: int
     source: int
     recv_bytes: int
+    tag: int
 
 
 @dataclass(frozen=True)
@@ -136,6 +146,11 @@ class _Token:
         self.result = result
 
 
+#: the token of every call whose result is None (shared: tokens are
+#: never mutated)
+_DONE = _Token()
+
+
 class _FakeRequest:
     __slots__ = ("req_id",)
 
@@ -152,7 +167,7 @@ class _StepToken:
 
 class _ProfileLoop:
     """Fake :class:`~repro.spechpc.fastforward.StepLoop` driving exactly
-    one recorded step (steps are statistically identical, so one suffices)."""
+    one recorded step (steps are structurally identical, so one suffices)."""
 
     __slots__ = ("_comm", "_entered")
 
@@ -164,6 +179,7 @@ class _ProfileLoop:
         return _StepToken(self)
 
     def advance(self) -> bool:
+        """True on entry to the one step, False at its end."""
         if self._entered:
             return False
         self._entered = True
@@ -175,8 +191,9 @@ class RecordingComm:
     """Communicator look-alike that records ops instead of simulating.
 
     Implements exactly the surface the nine suite bodies use; anything
-    else (payload reductions, wildcard receives) raises
-    :class:`ProfileUnsupported` so callers can fall back to the DES.
+    else (payload reductions, wildcard receives, reading the clock)
+    raises :class:`ProfileUnsupported` so callers can fall back to the
+    DES.
     """
 
     __slots__ = ("rank", "size", "ops", "_next_req")
@@ -186,6 +203,15 @@ class RecordingComm:
         self.size = size
         self.ops: list = []
         self._next_req = 0
+
+    @property
+    def now(self) -> float:
+        raise ProfileUnsupported("reading the virtual clock")
+
+    def step_loop(self) -> _ProfileLoop:
+        """The one-step loop :meth:`RunContext.step_loop
+        <repro.spechpc.base.RunContext.step_loop>` hands a dry run."""
+        return _ProfileLoop(self)
 
     # --- computation -------------------------------------------------------
 
@@ -214,7 +240,7 @@ class RecordingComm:
             seconds, flops, simd_flops, mem_bytes, l3_bytes, l2_bytes,
             busy_seconds, heat_seconds, heat_busy_seconds,
         ))
-        return _Token()
+        return _DONE
 
     def compute_cost(self, cost) -> _Token:
         return self.compute(cost.seconds, **cost.counter_kwargs())
@@ -231,19 +257,19 @@ class RecordingComm:
         if payload is not None:
             raise ProfileUnsupported("payload-carrying sends")
         rid = self._new_req()
-        self.ops.append(SendPost(rid, dest, nbytes))
+        self.ops.append(SendPost(rid, dest, nbytes, tag))
         return _FakeRequest(rid)
 
     def irecv(self, source: int = -1, tag: int = -1) -> _FakeRequest:
         if source < 0:
             raise ProfileUnsupported("wildcard receives")
         rid = self._new_req()
-        self.ops.append(RecvPost(rid, source))
+        self.ops.append(RecvPost(rid, source, tag))
         return _FakeRequest(rid)
 
     def wait(self, req: _FakeRequest, kind: str = "MPI_Wait") -> _Token:
         self.ops.append(WaitOne(req.req_id, kind))
-        return _Token()
+        return _DONE
 
     def waitall(self, reqs: list, kind: str = "MPI_Wait") -> _Token:
         self.ops.append(WaitAll(tuple(r.req_id for r in reqs), kind))
@@ -254,14 +280,14 @@ class RecordingComm:
     ) -> _Token:
         if payload is not None:
             raise ProfileUnsupported("payload-carrying sends")
-        self.ops.append(BlockingSend(dest, nbytes))
-        return _Token()
+        self.ops.append(BlockingSend(dest, nbytes, tag))
+        return _DONE
 
     def recv(self, source: int = -1, tag: int = -1) -> _Token:
         if source < 0:
             raise ProfileUnsupported("wildcard receives")
-        self.ops.append(BlockingRecv(source))
-        return _Token()
+        self.ops.append(BlockingRecv(source, tag))
+        return _DONE
 
     def sendrecv(
         self,
@@ -274,42 +300,42 @@ class RecordingComm:
     ) -> _Token:
         if payload is not None:
             raise ProfileUnsupported("payload-carrying sends")
-        self.ops.append(SendRecv(dest, send_bytes, source, recv_bytes))
-        return _Token()
+        self.ops.append(SendRecv(dest, send_bytes, source, recv_bytes, tag))
+        return _DONE
 
     # --- collectives -------------------------------------------------------
 
     def barrier(self) -> _Token:
         self.ops.append(Coll("MPI_Barrier", None))
-        return _Token()
+        return _DONE
 
     def allreduce(self, nbytes: int = 8) -> _Token:
         self.ops.append(Coll("MPI_Allreduce", nbytes))
-        return _Token()
+        return _DONE
 
     def bcast(self, nbytes: int, root: int = 0) -> _Token:
         self.ops.append(Coll("MPI_Bcast", nbytes))
-        return _Token()
+        return _DONE
 
     def reduce(self, nbytes: int, root: int = 0) -> _Token:
         self.ops.append(Coll("MPI_Reduce", nbytes))
-        return _Token()
+        return _DONE
 
     def allgather(self, total_bytes: int) -> _Token:
         self.ops.append(Coll("MPI_Allgather", total_bytes))
-        return _Token()
+        return _DONE
 
     def scatter(self, total_bytes: int, root: int = 0) -> _Token:
         self.ops.append(Coll("MPI_Scatter", total_bytes))
-        return _Token()
+        return _DONE
 
     def gather(self, total_bytes: int, root: int = 0) -> _Token:
         self.ops.append(Coll("MPI_Gather", total_bytes))
-        return _Token()
+        return _DONE
 
     def alltoall(self, send_bytes: int) -> _Token:
         self.ops.append(Coll("MPI_Alltoall", send_bytes))
-        return _Token()
+        return _DONE
 
     def allreduce_data(self, value, nbytes: int | None = None, op=None):
         raise ProfileUnsupported("payload-carrying reductions")
@@ -324,8 +350,7 @@ class ProfilingContext(RunContext):
     """A :class:`RunContext` that needs no runtime: ccNUMA domain
     populations come from
     :meth:`~repro.machine.cluster.ClusterSpec.domain_population` (the
-    rule :class:`~repro.smpi.runtime.MpiRuntime` applies), and
-    :meth:`step_loop` drives the one-step recording protocol."""
+    rule :class:`~repro.smpi.runtime.MpiRuntime` applies)."""
 
     @property
     def nnodes(self) -> int:
@@ -333,9 +358,6 @@ class ProfilingContext(RunContext):
 
     def ranks_in_domain(self, rank: int) -> int:
         return self.cluster.domain_population(rank, self.nprocs, self.threads)
-
-    def step_loop(self, comm: RecordingComm) -> _ProfileLoop:
-        return _ProfileLoop(comm)
 
 
 def make_context(
@@ -396,7 +418,9 @@ def profile_rank(
 
     A stack-based generator trampoline stands in for the event engine:
     yielded sub-generators are pushed and run inline; yielded op tokens
-    resolve immediately to their recorded results.
+    resolve immediately to their recorded results.  The dry run stops
+    at the end of the step; whatever the body does after its step loop
+    is not part of the profile.
     """
     comm = RecordingComm(rank, nprocs)
     stack: list[GeneratorType] = [body(comm)]
@@ -414,7 +438,9 @@ def profile_rank(
             stack.append(y)
             send = None
         elif isinstance(y, _StepToken):
-            send = y.loop.advance()
+            if not y.loop.advance():
+                break
+            send = True
         else:
             raise ProfileUnsupported(f"body yielded {y!r}")
     return RankProfile(rank=rank, weight=weight, ops=list(comm.ops))

@@ -70,6 +70,20 @@ def _dumps(doc: Any) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 
+def _parse_max_band(value: Any) -> Optional[float]:
+    """The ``max_band`` request field of ``/run`` and ``/sweep``: absent,
+    or a number >= 0 (``inf`` accepts any band)."""
+    if value is None:
+        return None
+    try:
+        band = float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"max_band must be a number (got {value!r})") from None
+    if not band >= 0.0:  # NaN fails too
+        raise SpecError("max_band must be >= 0")
+    return band
+
+
 def _percentile(samples: list[float], q: float) -> float:
     if not samples:
         return 0.0
@@ -228,7 +242,14 @@ class ServeApp:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise HttpError(HTTPStatus.BAD_REQUEST,
+                            f"bad Content-Length: {raw_length!r}")
         if length > MAX_BODY_BYTES:
             raise HttpError(HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
                             f"body of {length} bytes exceeds the "
@@ -271,9 +292,9 @@ class ServeApp:
             if method != "POST":
                 raise HttpError(HTTPStatus.METHOD_NOT_ALLOWED,
                                 f"{path} requires POST")
-            if body is None:
+            if not isinstance(body, dict):
                 raise HttpError(HTTPStatus.BAD_REQUEST,
-                                f"{path} requires a JSON body")
+                                f"{path} requires a JSON body (an object)")
         self.requests[f"{method} {path.split('/')[1] or '/'}"] += 1
         if path == "/run":
             await self._handle_run(body, writer)
@@ -408,11 +429,7 @@ class ServeApp:
         if extra:
             raise SpecError(f"unknown request field(s): {', '.join(extra)}")
         spec = ServeSpec.from_request(body["spec"])
-        max_band = body.get("max_band")
-        if max_band is not None:
-            max_band = float(max_band)
-            if max_band < 0.0:
-                raise SpecError("max_band must be >= 0")
+        max_band = _parse_max_band(body.get("max_band"))
         return spec, max_band, bool(body.get("force", False))
 
     async def _handle_run(self, body: dict,
@@ -489,9 +506,7 @@ class ServeApp:
         if not isinstance(raw_specs, list) or not raw_specs:
             raise SpecError("body needs a non-empty 'specs' array")
         specs = [ServeSpec.from_request(doc) for doc in raw_specs]
-        max_band = body.get("max_band")
-        if max_band is not None:
-            max_band = float(max_band)
+        max_band = _parse_max_band(body.get("max_band"))
         stream = bool(body.get("stream", False))
 
         job = self.jobs.create("sweep", total=len(specs))

@@ -93,12 +93,6 @@ class Communicator:
             # stretch the wall duration; counters stay nominal (a stalled
             # or throttled core executes the same instructions)
             seconds = rt.faults.compute_seconds(self.rank, t0, seconds)
-        rec = rt.recorder
-        if rec is not None:
-            rec.compute(
-                self.rank, seconds, flops, simd_flops, mem_bytes, l3_bytes,
-                l2_bytes, busy_seconds, heat_seconds, heat_busy_seconds,
-            )
         yield Delay(seconds)
         stats = rt.stats[self.rank]
         stats.time_by_kind["compute"] = (
@@ -183,12 +177,6 @@ class Communicator:
             rt.deliver_at(now + rts_lat, dest, arr)
         if rt.checker is not None:
             rt.checker.on_send(arr, self.rank, dest)
-        rec = rt.recorder
-        if rec is not None:
-            rec.isend(
-                self.rank, req, dest, tag, nbytes, intra,
-                net.is_eager(nbytes), net, payload,
-            )
         return req
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
@@ -201,9 +189,6 @@ class Communicator:
             rt.complete_match(arr, post, self.rank)
         # the mailbox match signal *is* the request completion signal
         req.done_signal = post.match_signal
-        rec = rt.recorder
-        if rec is not None:
-            rec.irecv(self.rank, req, source, tag)
         return req
 
     def wait(self, req: Request, kind: str = "MPI_Wait") -> Generator:
@@ -213,9 +198,6 @@ class Communicator:
         """
         rt = self.runtime
         t0 = self.now
-        rec = rt.recorder
-        if rec is not None:
-            rec.wait(self.rank, req, kind)
         if req.done_signal.fired:
             value = req.done_signal.value
         else:
@@ -248,9 +230,6 @@ class Communicator:
         sim = rt.sim
         t0 = sim.now
         req = self.isend(dest, nbytes, tag, payload=payload)
-        rec = rt.recorder
-        if rec is not None:
-            rec.wait(self.rank, req, "MPI_Send")
         sig = req.done_signal
         if sig.fired:
             value = sig.value
@@ -273,9 +252,6 @@ class Communicator:
         sim = rt.sim
         t0 = sim.now
         req = self.irecv(source, tag)
-        rec = rt.recorder
-        if rec is not None:
-            rec.wait(self.rank, req, "MPI_Recv")
         sig = req.done_signal
         if sig.fired:
             value = sig.value
@@ -305,19 +281,15 @@ class Communicator:
         """Combined send+receive (deadlock-free halo exchange primitive).
         Returns the received payload (or None).
 
-        The two completion waits are inlined (send first, then receive,
-        exactly like the former ``_finish_p2p`` pair) — this is the
-        hottest MPI call of the halo-exchange benchmarks and each avoided
-        sub-coroutine frame counts.
+        The two completion waits (send first, then receive) are inlined:
+        this is the hottest MPI call of the halo-exchange benchmarks and
+        each avoided sub-coroutine frame counts.
         """
         rt = self.runtime
         sim = rt.sim
         t0 = sim.now
         rreq = self.irecv(source, tag)
         sreq = self.isend(dest, send_bytes, tag, payload=payload)
-        rec = rt.recorder
-        if rec is not None:
-            rec.sendrecv_wait(self.rank, sreq, rreq)
         sig = sreq.done_signal
         if sig.fired:
             value = sig.value
@@ -344,32 +316,6 @@ class Communicator:
         if rt.checker is not None:
             rt.checker.on_clock(self.rank, sim.now)
         return received
-
-    def _finish_p2p(
-        self, req: Request, t0: float, kind: str, record: bool = True
-    ) -> Generator:
-        rec = self.runtime.recorder
-        if rec is not None:
-            if record:
-                rec.wait(self.rank, req, kind)
-            else:
-                rec.mark_unsupported(self.rank, "untracked completion wait")
-        if req.done_signal.fired:
-            value = req.done_signal.value
-        else:
-            rt = self.runtime
-            rt.mark_blocked(self.rank, kind, req.peer, req.tag)
-            value = yield Wait(req.done_signal)
-            rt.clear_blocked(self.rank)
-        finish, payload = _completion(value)
-        if finish > self.now:
-            yield Delay(finish - self.now)
-        if record and self.now > t0:
-            self.runtime.stats[self.rank].add_time(kind, self.now - t0)
-            self.runtime.record_trace(self.rank, t0, self.now, kind)
-        if self.runtime.checker is not None:
-            self.runtime.checker.on_clock(self.rank, self.now)
-        return payload
 
     # --- collectives -----------------------------------------------------------
 
@@ -411,9 +357,6 @@ class Communicator:
         if op is None:
             op = _np.add
         rt = self.runtime
-        if rt.recorder is not None:
-            # payload-carrying reductions cannot be replayed analytically
-            rt.recorder.mark_unsupported(self.rank, "allreduce_data")
         t0 = self.now
         seq = self._coll_seq
         self._coll_seq += 1
@@ -451,9 +394,6 @@ class Communicator:
         else:
             cost = cost_fn(rt.network, self.size, rt.nnodes, nbytes)
             rt.stats[self.rank].add_counters(messages=1, msg_bytes=nbytes)
-        rec = rt.recorder
-        if rec is not None:
-            rec.coll(self.rank, kind, seq, cost, nbytes)
         gate.arrive(self.rank, t0, cost)
         if gate.signal.fired:
             finish = gate.signal.value

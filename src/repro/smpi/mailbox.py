@@ -9,13 +9,17 @@ receive side.
 Two matcher implementations share this contract:
 
 * ``indexed=True`` (default) keeps a dict of per-``(src, tag)`` deques on
-  both sides plus wildcard sidelines, stamped with a per-mailbox sequence
-  number.  A specific post/arrival consults at most four candidate queue
-  heads (exact key, ``(src, *)``, ``(*, tag)``, ``(*, *)``) and picks the
-  lowest stamp, so matching is O(1) amortized; only a *wildcard receive
-  probing the arrival queue* degrades to a scan over the distinct
-  ``(src, tag)`` keys present.  The selected match is always the
-  queue-order-first candidate — byte-identical to the linear scan.
+  both sides plus wildcard sidelines.  A specific post/arrival consults
+  at most four candidate queue heads (exact key, ``(src, *)``,
+  ``(*, tag)``, ``(*, *)``) and picks the lowest sequence stamp, so
+  matching is O(1) amortized; only a *wildcard receive probing the
+  arrival queue* degrades to a scan over the distinct ``(src, tag)``
+  keys present.  The selected match is always the queue-order-first
+  candidate — byte-identical to the linear scan.  Stamps are drawn from
+  one per-mailbox counter at queue-append time: they only order queued
+  items on one side against each other (the wildcard probe compares
+  arrival stamps, the delivery scan compares post stamps), so a call
+  that matches immediately never needs one.
 * ``indexed=False`` is the original single-deque linear scan, kept as the
   reference for the differential property tests.
 
@@ -30,21 +34,9 @@ orders MPI mandates — per-channel non-overtaking and the receiver's own
 posted-receive order — are preserved structurally.  This is the matching
 half of the validation subsystem's determinism sanitizer
 (:mod:`repro.validate.perturb`): a result that shifts under the shuffle
-depends on a tie-break MPI never promised.
-
-Light mode (structurally ineligible small runs)
------------------------------------------------
-``Mailbox(..., light=True)`` skips the per-call sequence stamping on the
-hot path: stamps exist only to order *queued* items against each other
-(the wildcard probe compares arrival stamps, the delivery scan compares
-post stamps — never across sides), so they can be assigned lazily at
-queue-append time from the same counter, preserving queue order exactly.
-A call that matches immediately never draws a stamp.  The runner enables
-this only when the run's replay tier is structurally ineligible and the
-rank count is below the paper-scale threshold — small wavefront runs
-stop paying for machinery they can never use.  Results are bit-identical;
-light is ignored (forced off) for the linear matcher and under the
-tie-shuffle, whose RNG stream consumes state per delivery.
+depends on a tie-break MPI never promised.  The seeded tie-break draw
+happens on every delivery, matched or not, so the RNG stream does not
+depend on the matcher's bookkeeping.
 """
 
 from __future__ import annotations
@@ -109,7 +101,6 @@ class Mailbox:
         "rank",
         "indexed",
         "tie_shuffle",
-        "light",
         "_seq",
         "_arrival_q",
         "_post_q",
@@ -124,12 +115,10 @@ class Mailbox:
         rank: int,
         indexed: bool = True,
         tie_shuffle: Optional[random.Random] = None,
-        light: bool = False,
     ) -> None:
         self.rank = rank
         self.indexed = indexed
         self.tie_shuffle = tie_shuffle
-        self.light = light and indexed and tie_shuffle is None
         self._seq = 0
         if indexed:
             # (src, tag) -> FIFO deque; wildcard posts live under keys
@@ -155,14 +144,7 @@ class Mailbox:
         and the caller must wait on ``post.match_signal`` (fired with the
         matching :class:`SendArrival`).
         """
-        if self.light:
-            # stamp lazily at queue time: stamps only order queued posts
-            # against each other, and an immediate match never needs one
-            post = RecvPost(src=src, tag=tag, posted_time=now)
-        else:
-            seq = self._seq
-            self._seq = seq + 1
-            post = RecvPost(src=src, tag=tag, posted_time=now, seq=seq)
+        post = RecvPost(src=src, tag=tag, posted_time=now)
         if not self.indexed:
             for i, arr in enumerate(self._arrival_q):
                 if post.matches(arr.src, arr.tag):
@@ -207,10 +189,9 @@ class Mailbox:
             if best_q is not None:
                 self._n_arrivals -= 1
                 return best_q.popleft(), post
-        if self.light:
-            seq = self._seq
-            self._seq = seq + 1
-            post.seq = seq
+        seq = self._seq
+        self._seq = seq + 1
+        post.seq = seq
         q = self._post_by_key.get((src, tag))
         if q is None:
             q = self._post_by_key[(src, tag)] = deque()
@@ -224,12 +205,8 @@ class Mailbox:
         """Register an arriving message; return the matching posted receive
         if one exists (removed from the queue), else queue the arrival."""
         shuffle = self.tie_shuffle
-        if not self.light:
-            seq = self._seq
-            self._seq = seq + 1
-            arrival.seq = seq
-            if shuffle is not None:
-                arrival.jitter = shuffle.getrandbits(16)
+        if shuffle is not None:
+            arrival.jitter = shuffle.getrandbits(16)
         if not self.indexed:
             for i, post in enumerate(self._post_q):
                 if post.matches(arrival.src, arrival.tag):
@@ -275,10 +252,9 @@ class Mailbox:
             if best_q is not None:
                 self._n_posts -= 1
                 return best_q.popleft()
-        if self.light:
-            seq = self._seq
-            self._seq = seq + 1
-            arrival.seq = seq
+        seq = self._seq
+        self._seq = seq + 1
+        arrival.seq = seq
         key = (arrival.src, arrival.tag)
         q = self._arr_by_key.get(key)
         if q is None:

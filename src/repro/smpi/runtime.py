@@ -144,7 +144,6 @@ class MpiRuntime:
         matcher: str = "indexed",
         perturb_seed: int | None = None,
         checker: Any | None = None,
-        light: bool = False,
     ) -> None:
         """``threads_per_rank > 1`` reserves a block of consecutive cores
         per rank (hybrid MPI+OpenMP placement, the paper's future-work
@@ -164,12 +163,7 @@ class MpiRuntime:
         mailbox are shuffled with seeded RNGs.  ``checker`` optionally
         attaches an :class:`~repro.validate.invariants.InvariantChecker`
         that observes every send, match, and collective arrival and is
-        finalized after the run.
-
-        ``light=True`` is the runner's hint that no replay tier can ever
-        engage and the run is below paper scale: mailboxes skip the
-        matching-stamp bookkeeping whose only consumers are machinery
-        this run cannot use (bit-identical results either way)."""
+        finalized after the run."""
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
         if matcher not in ("indexed", "linear"):
@@ -204,12 +198,9 @@ class MpiRuntime:
             cluster.place(r * threads_per_rank) for r in range(nprocs)
         ]
         self.matcher = matcher
-        self.light = light
         indexed = matcher == "indexed"
         if perturb_seed is None:
-            self.mailboxes = [
-                Mailbox(r, indexed=indexed, light=light) for r in range(nprocs)
-            ]
+            self.mailboxes = [Mailbox(r, indexed=indexed) for r in range(nprocs)]
         else:
             # one independent seeded stream per mailbox, so a rank's
             # arrival shuffle does not depend on other ranks' traffic
@@ -221,9 +212,6 @@ class MpiRuntime:
                 )
                 for r in range(nprocs)
             ]
-        #: optional step-journal recorder (attached by the fast-forward
-        #: controller only while it is capturing a representative step)
-        self.recorder: Any | None = None
         self.stats = [
             RankStats(rank=r, node=p[0], domain=p[1].domain)
             for r, p in enumerate(self._placement)

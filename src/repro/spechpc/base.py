@@ -216,8 +216,12 @@ class RunContext:
 
         Without a replay controller this counts steps exactly like
         ``for _ in range(ctx.sim_steps)``; with one it additionally runs
-        the steady-state detection protocol at the step boundaries.
+        the steady-state detection protocol at the step boundaries.  A
+        dry-run :class:`~repro.predict.profile.RecordingComm` brings its
+        own one-step loop.
         """
+        if not isinstance(comm, Communicator):
+            return comm.step_loop()
         from repro.spechpc.fastforward import StepLoop
 
         return StepLoop(comm, self.sim_steps, self.fast_forward)

@@ -30,26 +30,30 @@ synchronized tier here (every step ends in a full-communicator
 collective, so all ranks cross each boundary at one instant) and the
 wavefront tier of :mod:`repro.spechpc.wavefront` (skewed boundaries).
 
-* boundary 0: attach a :class:`StepRecorder`; steps 0 and 1 are journaled
-  as per-rank op lists (constants only — no absolute times).  No body
-  does MPI work before its step loop, so every rank enters step 0 at
-  t=0 with nothing in flight.
-* boundary 1: note every rank's clock (the validation start).
+* boundaries 0 and 1: every rank notes its clock and a copy of its
+  ``RankStats``.  The engine simulates steps 0 and 1 with no
+  instrumentation at all.
 * boundary 2 (PARK): every rank parks on the decision signal.  The last
-  arrival detaches the recorder and decides: no unsupported ops
-  (wildcards, payload-carrying sends, data reductions) and both
-  journals bitwise equal on every rank, then the synchronized tier when
-  its boundaries are synchronized, else a compiled
-  :class:`~repro.spechpc.wavefront.WavefrontProgram`.  It verifies
-  quiescence (mailboxes empty, no pending events) and **validates**
-  step 1, which the engine just simulated: replayed from the boundary-1
-  clocks on the scalar :class:`Replayer` and on the compiled program
-  (for the synchronized tier a :class:`VectorReplayer`, when the
-  journals are column-uniform), it must land every rank exactly on its
-  observed boundary-2 clock.
-  Then it replays the remaining ``sim_steps - 2`` steps, applying
-  per-rank statistics directly, and fires the signal with every rank's
-  final clock; ranks land on it and their bodies finish.
+  arrival dry-runs every rank's body for one step with the Tier-A
+  profiler (:func:`~repro.predict.profile.profile_rank`) and lowers the
+  recorded ops to the replay journal (:func:`lower_step`), priced with
+  the communicator's own expressions.  A body the dry run cannot follow
+  (wildcard receives, payload-carrying sends, data reductions, reading
+  the clock, waits on requests from before the step) declines.  Then it
+  chooses the synchronized tier when its boundaries are synchronized,
+  else a compiled :class:`~repro.spechpc.wavefront.WavefrontProgram`,
+  verifies quiescence (mailboxes empty, no pending events), and
+  **validates by observation**: the scalar :class:`Replayer` must
+  reproduce step 1's clocks, and the tier's own replay of the one
+  journal, started from boundary 0's clocks and statistics, must land
+  bitwise on boundary 1's, and from boundary 1 on boundary 2's —
+  clocks, every ``time_by_kind`` entry and every counter.  Then it
+  replays the remaining ``sim_steps - 2`` steps, applying per-rank
+  statistics directly, and fires the signal with every rank's final
+  clock; ranks land on it and their bodies finish.
+
+The dry run happens after the engine finished steps 0–1 on every rank,
+so it only retraces control flow that already terminated.
 
 A decline at PARK — no tier applies, or a check fails — has one exit:
 the last rank raises a private exception that carries the ``(code,
@@ -66,11 +70,19 @@ gating lives in :func:`replay_ineligibility`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence, Union,
+)
 
 import numpy as np
 
 from repro.des.simulator import Signal, Wait
+from repro.model.collectives import collective_cost
+from repro.predict.profile import (
+    BlockingRecv, BlockingSend, Coll, ComputeOp, ProfileUnsupported, RecvPost,
+    SendPost, SendRecv, WaitAll, WaitOne, profile_rank,
+)
+from repro.smpi.runtime import RankStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.comm import Communicator
@@ -80,13 +92,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class ReplayUnsupported(Exception):
     """The recorded op structure cannot be replayed (falls back to full
     event-level simulation; never escapes the controller)."""
-
-
-#: Rank count at or above which a run counts as "paper scale" for the
-#: light-machinery hint: below it, runs whose replay tier is structurally
-#: ineligible skip the indexed-matching stamp bookkeeping (see
-#: :mod:`repro.smpi.mailbox`) because nothing will ever consume it.
-PAPER_SCALE_RANKS = 256
 
 
 def replay_ineligibility(
@@ -124,118 +129,109 @@ def replay_ineligibility(
 
 
 # --------------------------------------------------------------------------
-# recording
+# the step journal: one dry-run step, lowered to replay ops
 # --------------------------------------------------------------------------
 
-class StepRecorder:
-    """Collects one journal (list of constant-only op tuples) per rank per
-    recorded step.  Attached to ``runtime.recorder`` only while recording,
-    so the communicator hot path pays a single ``is not None`` check."""
+def _send_params(net, nbytes: int, intra: bool) -> tuple:
+    """A send's pricing constants, as the communicator and the matching
+    glue compute them."""
+    if net.is_eager(nbytes):
+        return ("e", net.transfer_time(nbytes, intra), net.per_message_overhead)
+    bw = net.intra_node_bandwidth if intra else net.effective_bandwidth
+    lat = net.intra_node_latency if intra else net.latency
+    return (
+        "r",
+        lat,                          # RTS latency (arrival offset)
+        net.rendezvous_handshake,
+        lat,
+        nbytes / bw,                  # the exact quotient the match uses
+        net.per_message_overhead,
+    )
 
-    def __init__(self, nprocs: int) -> None:
-        self.nprocs = nprocs
-        self._cur: list[Optional[list]] = [None] * nprocs
-        self._hid: list[dict[int, int]] = [{} for _ in range(nprocs)]
-        self._nreq: list[int] = [0] * nprocs
-        self._ncoll: list[int] = [0] * nprocs
-        self.unsupported: Optional[str] = None
 
-    def begin_step(self, rank: int) -> None:
-        self._cur[rank] = []
-        self._hid[rank].clear()
-        self._nreq[rank] = 0
-        self._ncoll[rank] = 0
+def lower_step(ops: list, rank: int, runtime: "MpiRuntime",
+               prices: dict) -> list:
+    """Lower one rank's dry-run step — the ops a
+    :class:`~repro.predict.profile.RecordingComm` recorded — to its
+    replay journal: constant-only tuples (no absolute times), priced the
+    way the communicator prices the same calls.
 
-    def end_step(self, rank: int) -> list:
-        ops, self._cur[rank] = self._cur[rank], None
-        return ops if ops is not None else []
+    Requests and collectives are numbered by their per-step ordinals, so
+    the journal is step-invariant (the engine pairs collective gates by a
+    global sequence number; the validation replay catches any
+    mispairing).  ``prices`` memoizes send parameters and collective
+    costs across the ranks of one runtime.  Raises
+    :class:`~repro.predict.profile.ProfileUnsupported` for a wildcard
+    receive or a wait on a request posted outside the step.
+    """
+    net = runtime.network
+    journal: list = []
+    hids: dict[int, int] = {}   # dry-run request id -> per-step ordinal
+    nreq = ncoll = 0
 
-    # --- hooks (called from the communicator) ------------------------------
+    def isend(dest: int, tag: int, nbytes: int) -> int:
+        nonlocal nreq
+        intra = runtime.same_node(rank, dest)
+        params = prices.get((nbytes, intra))
+        if params is None:
+            params = prices[(nbytes, intra)] = _send_params(net, nbytes, intra)
+        hid, nreq = nreq, nreq + 1
+        journal.append(("isend", hid, dest, tag, nbytes, params))
+        return hid
 
-    def mark_unsupported(self, rank: int, reason: str) -> None:
-        if self.unsupported is None:
-            self.unsupported = f"rank {rank}: {reason}"
-
-    def compute(self, rank: int, seconds, flops, simd, mem, l3, l2,
-                busy, heat_s, heat_b) -> None:
-        ops = self._cur[rank]
-        if ops is not None:
-            ops.append(
-                ("compute", seconds, flops, simd, mem, l3, l2, busy, heat_s, heat_b)
-            )
-
-    def isend(self, rank: int, req, dest: int, tag: int, nbytes: int,
-              intra: bool, eager: bool, net, payload) -> None:
-        ops = self._cur[rank]
-        if ops is None:
-            return
-        if payload is not None:
-            self.mark_unsupported(rank, "payload-carrying send")
-            return
-        hid = self._nreq[rank]
-        self._nreq[rank] = hid + 1
-        self._hid[rank][id(req)] = hid
-        if eager:
-            params = ("e", net.transfer_time(nbytes, intra),
-                      net.per_message_overhead)
-        else:
-            bw = net.intra_node_bandwidth if intra else net.effective_bandwidth
-            lat = net.intra_node_latency if intra else net.latency
-            params = (
-                "r",
-                lat,                          # RTS latency (arrival offset)
-                net.rendezvous_handshake,
-                lat,
-                nbytes / bw,                  # the exact quotient the match uses
-                net.per_message_overhead,
-            )
-        ops.append(("isend", hid, dest, tag, nbytes, params))
-
-    def irecv(self, rank: int, req, src: int, tag: int) -> None:
-        ops = self._cur[rank]
-        if ops is None:
-            return
+    def irecv(src: int, tag: int) -> int:
+        nonlocal nreq
         if src < 0 or tag < 0:
-            self.mark_unsupported(rank, "wildcard receive")
-            return
-        hid = self._nreq[rank]
-        self._nreq[rank] = hid + 1
-        self._hid[rank][id(req)] = hid
-        ops.append(("irecv", hid, src, tag))
+            raise ProfileUnsupported("wildcard receive")
+        hid, nreq = nreq, nreq + 1
+        journal.append(("irecv", hid, src, tag))
+        return hid
 
-    def wait(self, rank: int, req, kind: str) -> None:
-        ops = self._cur[rank]
-        if ops is None:
-            return
-        hid = self._hid[rank].pop(id(req), None)
+    def own(req: int) -> int:
+        hid = hids.pop(req, None)
         if hid is None:
-            self.mark_unsupported(rank, "wait on a request from outside the step")
-            return
-        ops.append(("wait", hid, kind))
+            raise ProfileUnsupported("wait on a request from outside the step")
+        return hid
 
-    def sendrecv_wait(self, rank: int, sreq, rreq) -> None:
-        ops = self._cur[rank]
-        if ops is None:
-            return
-        shid = self._hid[rank].pop(id(sreq), None)
-        rhid = self._hid[rank].pop(id(rreq), None)
-        if shid is None or rhid is None:
-            self.mark_unsupported(rank, "sendrecv with foreign requests")
-            return
-        ops.append(("srwait", shid, rhid))
-
-    def coll(self, rank: int, kind: str, seq: int, cost: float,
-             nbytes: Optional[int]) -> None:
-        ops = self._cur[rank]
-        if ops is not None:
-            # the engine pairs gates by the *global* per-rank sequence
-            # number, which increments every step; journals must be
-            # step-invariant, so record the per-step ordinal instead
-            # (equivalent whenever the pattern is periodic — and the
-            # validation replay catches any mispairing)
-            ordinal = self._ncoll[rank]
-            self._ncoll[rank] = ordinal + 1
-            ops.append(("coll", kind, ordinal, cost, nbytes))
+    for op in ops:
+        cls = op.__class__
+        if cls is ComputeOp:
+            journal.append((
+                "compute", op.seconds, op.flops, op.simd_flops, op.mem_bytes,
+                op.l3_bytes, op.l2_bytes, op.busy_seconds, op.heat_seconds,
+                op.heat_busy_seconds,
+            ))
+        elif cls is SendPost:
+            hids[op.req] = isend(op.dest, op.tag, op.nbytes)
+        elif cls is RecvPost:
+            hids[op.req] = irecv(op.source, op.tag)
+        elif cls is WaitOne:
+            journal.append(("wait", own(op.req), op.kind))
+        elif cls is WaitAll:
+            for req in op.reqs:
+                journal.append(("wait", own(req), op.kind))
+        elif cls is BlockingSend:
+            journal.append(("wait", isend(op.dest, op.tag, op.nbytes), "MPI_Send"))
+        elif cls is BlockingRecv:
+            journal.append(("wait", irecv(op.source, op.tag), "MPI_Recv"))
+        elif cls is SendRecv:
+            # the communicator posts the receive first, then the send,
+            # and completes the send leg before the receive leg
+            rhid = irecv(op.source, op.tag)
+            shid = isend(op.dest, op.tag, op.send_bytes)
+            journal.append(("srwait", shid, rhid))
+        elif cls is Coll:
+            key = ("coll", op.kind, op.nbytes)
+            cost = prices.get(key)
+            if cost is None:
+                cost = prices[key] = collective_cost(
+                    op.kind, net, runtime.nprocs, runtime.nnodes, op.nbytes
+                )
+            journal.append(("coll", op.kind, ncoll, cost, op.nbytes))
+            ncoll += 1
+        else:  # pragma: no cover - RecordingComm and lowering share one op set
+            raise ProfileUnsupported(f"unlowerable op {op!r}")
+    return journal
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +263,7 @@ def _wait_step(t: float, fire_t: float, fin: float) -> float:
 class Replayer:
     """Executes the recorded steady-state step N times in pure Python.
 
-    ``stats=None`` replays times only (the validation pass); with the
+    ``stats=None`` replays times only (the clock cross-check); with the
     runtime's ``RankStats`` list it also applies every statistics update
     in per-rank program order, exactly as the communicator would."""
 
@@ -458,6 +454,39 @@ _COMPUTE_COUNTERS = (
     "flops", "simd_flops", "mem_bytes", "l3_bytes", "l2_bytes",
     "busy_seconds", "heat_seconds", "heat_busy_seconds",
 )
+
+
+def _stats_arrays(stats: list, kinds) -> tuple[dict, dict, dict]:
+    """The vectorized replayers' accumulators, read from every rank's
+    ``RankStats``: per-kind times, per-kind "key present" masks, and
+    per-counter values, each an array over ranks."""
+    tacc = {
+        k: np.array([s.time_by_kind.get(k, 0.0) for s in stats]) for k in kinds
+    }
+    touched = {
+        k: np.array([k in s.time_by_kind for s in stats], dtype=bool)
+        for k in kinds
+    }
+    cacc = {
+        nm: np.array([s.counters.get(nm, 0.0) for s in stats])
+        for nm in _COMPUTE_COUNTERS + ("messages", "msg_bytes")
+    }
+    return tacc, touched, cacc
+
+
+def _store_stats(stats: list, tacc: dict, touched: dict, cacc: dict) -> None:
+    """Write the accumulators back; a time kind appears in a rank's
+    ``time_by_kind`` only if the engine would have added it."""
+    times = [(k, arr.tolist(), touched[k].tolist()) for k, arr in tacc.items()]
+    counts = [(nm, arr.tolist()) for nm, arr in cacc.items()]
+    for i, s in enumerate(stats):
+        tbk = s.time_by_kind
+        for kind, vals, hit in times:
+            if hit[i] or kind in tbk:
+                tbk[kind] = vals[i]
+        c = s.counters
+        for nm, vals in counts:
+            c[nm] = vals[i]
 
 
 class VectorReplayer:
@@ -658,22 +687,10 @@ class VectorReplayer:
                     kinds.add(ins[1])
                 elif ins[0] == "srwait":
                     kinds.add("MPI_Sendrecv")
-            tacc = {
-                k: np.array([s.time_by_kind.get(k, 0.0) for s in stats])
-                for k in kinds
-            }
-            touched = {
-                k: np.array([k in s.time_by_kind for s in stats], dtype=bool)
-                for k in kinds
-            }
+            tacc, touched, cacc = _stats_arrays(stats, kinds)
             if any(ins[0] == "compute" for ins in self._program):
                 # compute adds unconditionally, so the key always appears
                 touched["compute"][:] = True
-            names = _COMPUTE_COUNTERS + ("messages", "msg_bytes")
-            cacc = {
-                nm: np.array([s.counters.get(nm, 0.0) for s in stats])
-                for nm in names
-            }
         maximum, where = np.maximum, np.where
         S: list = [None] * self._ncols
         A: list = [None] * self._ncols
@@ -754,15 +771,8 @@ class VectorReplayer:
                         touched[kind] |= mask
                     t = nt
         if stats is not None:
-            for i, s in enumerate(stats):
-                tbk = s.time_by_kind
-                for kind, arr in tacc.items():
-                    if touched[kind][i] or kind in tbk:
-                        tbk[kind] = float(arr[i])
-                c = s.counters
-                for nm, arr in cacc.items():
-                    c[nm] = float(arr[i])
-        return [float(x) for x in t]
+            _store_stats(stats, tacc, touched, cacc)
+        return t.tolist()
 
 
 class _NotUniform(Exception):
@@ -787,35 +797,52 @@ class _ParkDeclined(Exception):
         self.declined = declined
 
 
+def _stats_copy(s: RankStats) -> RankStats:
+    return RankStats(s.rank, s.node, s.domain, dict(s.time_by_kind),
+                     dict(s.counters))
+
+
+def _same_stats(a: list, b: list) -> bool:
+    """Bitwise-equal ``time_by_kind`` and counters on every rank."""
+    return all(
+        x.time_by_kind == y.time_by_kind and x.counters == y.counters
+        for x, y in zip(a, b)
+    )
+
+
 class ReplayController:
-    """Per-run coordinator of the recording/decision/replay protocol.
+    """Per-run coordinator of the observation/decision/replay protocol.
 
     Created by the harness only for runs :func:`replay_ineligibility`
     lets through with at least one tier on; one instance serves all
-    ranks.  ``fast_forward`` allows the synchronized tier, ``wavefront``
-    the wavefront tier (:mod:`repro.spechpc.wavefront`); when both are
-    on, the synchronized tier is tried first.
+    ranks.  ``body`` is the per-rank program factory the runtime
+    launched; the PARK boundary dry-runs it for the step journal.
+    ``fast_forward`` allows the synchronized tier, ``wavefront`` the
+    wavefront tier (:mod:`repro.spechpc.wavefront`); when both are on,
+    the synchronized tier is tried first.
     """
 
-    #: boundary indices of the protocol (see module docstring): steps
-    #: ``RECORD_FIRST`` .. ``PARK - 1`` are journaled, ranks park at PARK
-    RECORD_FIRST = 0
+    #: boundary index at which every rank parks; boundaries before it
+    #: are observed (clocks and statistics), steps before it simulated
     PARK = 2
 
-    def __init__(self, runtime: "MpiRuntime", sim_steps: int,
+    def __init__(self, runtime: "MpiRuntime", body: Callable, sim_steps: int,
                  fast_forward: bool = True, wavefront: bool = True) -> None:
         self.runtime = runtime
+        self.body = body
         self.sim_steps = sim_steps
-        self.nprocs = runtime.nprocs
+        self.nprocs = n = runtime.nprocs
         self.fast_forward = fast_forward
         self.wavefront = wavefront
-        self.recorder: Optional[StepRecorder] = None
-        self._journals: dict[int, list] = {}   # step -> per-rank ops
         #: boundary index -> per-rank clock, rank-indexed so skewed
         #: wavefront boundaries keep their per-rank identity
-        self._boundary_now: dict[int, list] = {}
-        self._arrived: dict[int, int] = {}
+        self._clocks = [[0.0] * n for _ in range(self.PARK + 1)]
+        #: boundary index -> per-rank ``RankStats`` copy (before PARK)
+        self._stats: list[list] = [[None] * n for _ in range(self.PARK)]
+        self._parked = 0
         self._park_signal = Signal("replay-decision")
+        #: per-rank step journal (set by the dry run at PARK)
+        self.journals: Optional[list[list]] = None
         #: "sync" | "wavefront" once the PARK boundary chose a tier
         self.mode: Optional[str] = None
         #: the wavefront tier's compiled program
@@ -833,72 +860,57 @@ class ReplayController:
         Returns the signal to park on at the PARK boundary, else None."""
         rt = self.runtime
         rank = comm.rank
-        if idx == self.RECORD_FIRST:
-            if self.recorder is None:
-                self.recorder = rt.recorder = StepRecorder(self.nprocs)
-            self.recorder.begin_step(rank)
-            return None
-        self._end_journal(idx - 1, rank)
-        last = self._note_boundary(idx, rank, rt.sim.now)
+        self._clocks[idx][rank] = rt.sim.now
         if idx < self.PARK:
-            self.recorder.begin_step(rank)
+            self._stats[idx][rank] = _stats_copy(rt.stats[rank])
             return None
-        if last:
-            rt.recorder = None
+        self._parked += 1
+        if self._parked == self.nprocs:
             self._park_signal.fire(self._execute())
         return self._park_signal
 
-    def _end_journal(self, step: int, rank: int) -> None:
-        journals = self._journals.setdefault(step, [None] * self.nprocs)
-        journals[rank] = self.recorder.end_step(rank)
-
-    def _note_boundary(self, idx: int, rank: int, now: float) -> bool:
-        """Record a rank's boundary timestamp; True for the last arrival."""
-        nows = self._boundary_now.get(idx)
-        if nows is None:
-            nows = self._boundary_now[idx] = [None] * self.nprocs
-        nows[rank] = now
-        n = self._arrived.get(idx, 0) + 1
-        self._arrived[idx] = n
-        return n == self.nprocs
-
     # --- decision ----------------------------------------------------------
 
-    def _common_decline_reason(self) -> Optional[tuple[str, str]]:
-        """Checks every replay tier shares: supported ops and periodic
-        journals.  Returns a ``(code, reason)`` pair or ``None``."""
-        rec = self.recorder
-        if rec.unsupported is not None:
-            return ("unsupported-op", f"unsupported op: {rec.unsupported}")
-        j0 = self._journals[self.RECORD_FIRST]
-        j1 = self._journals[self.PARK - 1]
+    def _record(self) -> Optional[tuple[str, str]]:
+        """Dry-run every rank's body for one step and lower it to the
+        step journal; returns the ``unsupported-op`` decline if the dry
+        run cannot follow a body."""
+        # taken, not kept: the body closes over the run context, which
+        # holds this controller, and a finished run must stay acyclic
+        body, self.body = self.body, None
+        rt = self.runtime
+        prices: dict = {}
+        journals = []
         for r in range(self.nprocs):
-            if j0[r] != j1[r]:
-                return ("not-periodic", f"rank {r} step structure not periodic")
+            try:
+                ops = profile_rank(body, self.nprocs, r).ops
+                journals.append(lower_step(ops, r, rt, prices))
+            except ProfileUnsupported as exc:
+                return ("unsupported-op", f"unsupported op: rank {r}: {exc}")
+        self.journals = journals
         return None
 
     def _sync_decline_reason(self) -> Optional[tuple[str, str]]:
         """Checks specific to the *synchronized* replay tier: every step
         ends in a full-communicator collective and all ranks cross each
         boundary at one instant."""
-        j1 = self._journals[self.PARK - 1]
-        for r in range(self.nprocs):
-            if not j1[r] or j1[r][-1][0] != "coll":
+        for r, ops in enumerate(self.journals):
+            if not ops or ops[-1][0] != "coll":
                 return (
                     "no-collective-boundary",
                     f"rank {r} step does not end in a collective "
                     "(boundaries not globally synchronized)",
                 )
-        for idx in (self.PARK - 1, self.PARK):
-            nows = self._boundary_now[idx]
+        for nows in self._clocks[1:]:
             if any(t != nows[0] for t in nows):
                 return ("boundaries-skewed", "step boundaries not synchronized")
         return None
 
     def _decide(self) -> Optional[tuple[str, str]]:
-        """Choose a tier (``mode``, and the wavefront tier's compiled
-        ``program``), or return the ``(code, reason)`` none applies."""
-        declined = self._common_decline_reason()
+        """Record the journal and choose a tier (``mode``, and the
+        wavefront tier's compiled ``program``), or return the ``(code,
+        reason)`` none applies."""
+        declined = self._record()
         if declined is not None:
             return declined
         why = "synchronized tier disabled"
@@ -912,9 +924,8 @@ class ReplayController:
             why = declined[1]
         from repro.spechpc.wavefront import WavefrontProgram  # import cycle
 
-        journals = self._journals[self.PARK - 1]
         try:
-            self.program = WavefrontProgram.compile(journals, self.nprocs)
+            self.program = WavefrontProgram.compile(self.journals, self.nprocs)
         except ReplayUnsupported as exc:
             return ("structure", f"{why}; {exc}")
         self.mode = "wavefront"
@@ -936,22 +947,21 @@ class ReplayController:
         raise _ParkDeclined(declined)
 
     def _commit(self) -> list[float]:
-        """Check quiescence, validate the last recorded step, and replay
-        the remaining steps on the chosen tier."""
+        """Check quiescence, validate the journal against both observed
+        steps, and replay the remaining steps on the chosen tier."""
         rt = self.runtime
-        journals = self._journals[self.PARK - 1]
-        t_start = self._boundary_now[self.PARK - 1]
-        t_park = self._boundary_now[self.PARK]
+        n = self.nprocs
+        journals = self.journals
+        b0, b1, b2 = self._clocks
         prog = self.program
         remaining = self.sim_steps - self.PARK
         if not all(m.idle() for m in rt.mailboxes):
             raise ReplayUnsupported("in-flight messages at the boundary")
         if rt.sim._heap or rt.sim._runq:
             raise ReplayUnsupported("pending events at the boundary")
-        # validation: replaying the step the engine just simulated must
-        # land every rank bitwise on its observed PARK clock, on the
-        # scalar replayer and on the compiled program alike
-        if Replayer(journals, self.nprocs).run(t_start, 1) != t_park:
+        # the scalar cross-check: step 1 replayed on the scalar replayer
+        # must land every rank bitwise on its observed PARK clock
+        if Replayer(journals, n).run(b1, 1) != b2:
             raise ReplayUnsupported(
                 "validation failed: scalar replay does not reproduce "
                 "the simulated boundary clocks"
@@ -961,18 +971,25 @@ class ReplayController:
             # step nor the scalar check holds memory (peak RSS):
             # column-uniform structures replay vectorized across ranks,
             # anything else on the scalar replayer
-            prog = VectorReplayer.compile(journals, self.nprocs)
-        if prog is not None and prog.run(t_start, 1) != t_park:
-            raise ReplayUnsupported(
-                f"validation failed: compiled {self.mode} replay does "
-                "not reproduce the simulated boundary clocks"
-            )
+            prog = VectorReplayer.compile(journals, n)
         if prog is None:
-            finals = Replayer(journals, self.nprocs, stats=rt.stats).run(
-                t_park, remaining
-            )
+            def replay(t, nsteps, stats):
+                return Replayer(journals, n, stats=stats).run(t, nsteps)
         else:
-            finals = prog.run(t_park, remaining, stats=rt.stats)
+            replay = prog.run
+        # validation by observation: the tier's replay of the one journal
+        # from each observed boundary's clocks and statistics must land
+        # bitwise on the next boundary's, clocks and statistics alike
+        stats = [_stats_copy(s) for s in self._stats[0]]
+        for k, (t0, t1, seen) in enumerate(
+            ((b0, b1, self._stats[1]), (b1, b2, rt.stats))
+        ):
+            if replay(t0, 1, stats) != t1 or not _same_stats(stats, seen):
+                raise ReplayUnsupported(
+                    f"validation failed: {self.mode} replay of step {k} "
+                    f"does not reproduce boundary {k + 1}"
+                )
+        finals = replay(b2, remaining, rt.stats)
         self.engaged = True
         self.levels = (
             prog.nlevels if self.mode == "wavefront"

@@ -15,8 +15,9 @@ switched off).
 
 How it works
 ------------
-The journaling protocol is the controller's (steps 0 and 1 recorded,
-periodicity check, step 1 validated).  What differs is the replay:
+The protocol is the controller's (steps 0 and 1 simulated and
+observed, one dry-run step journal built at the PARK boundary, both
+observed steps validated).  What differs is the replay:
 
 * **DAG compilation** — the per-rank op journals are compiled *once* into
   a dependency DAG over their send/receive *post nodes*: each op depends
@@ -46,9 +47,10 @@ time is computed by the engine's own expressions (``_wait_step``, the
 left-associated rendezvous sum) — **no** max-plus path-weight
 precomputation, which would re-associate the adds and drift by ulps.
 Before committing, the compiled program must reproduce the engine's own
-observed step 1 (boundary-1 -> boundary-2 clocks) bitwise, and
-the scalar :class:`~repro.spechpc.fastforward.Replayer` is cross-checked
-on the same step.  A failure there stops the parked world and the
+observed steps 0 and 1 bitwise (each from one boundary's clocks and
+statistics to the next boundary's), and the scalar
+:class:`~repro.spechpc.fastforward.Replayer` is cross-checked on step 1's
+clocks.  A failure there stops the parked world and the
 harness re-runs the job in full DES, so a decline is exact too.
 """
 
@@ -58,7 +60,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.spechpc.fastforward import _COMPUTE_COUNTERS, ReplayUnsupported
+from repro.spechpc.fastforward import (
+    _COMPUTE_COUNTERS, ReplayUnsupported, _stats_arrays, _store_stats,
+)
 
 
 class WavefrontProgram:
@@ -404,19 +408,7 @@ class WavefrontProgram:
                     kinds.add("MPI_Sendrecv")
                 elif ins[0] == "compute":
                     kinds.add("compute")
-            tacc = {
-                k: np.array([s.time_by_kind.get(k, 0.0) for s in stats])
-                for k in kinds
-            }
-            touched = {
-                k: np.array([k in s.time_by_kind for s in stats], dtype=bool)
-                for k in kinds
-            }
-            names = _COMPUTE_COUNTERS + ("messages", "msg_bytes")
-            cacc = {
-                nm: np.array([s.counters.get(nm, 0.0) for s in stats])
-                for nm in names
-            }
+            tacc, touched, cacc = _stats_arrays(stats, kinds)
         maximum, where = np.maximum, np.where
 
         def leg(legdesc: tuple):
@@ -503,12 +495,5 @@ class WavefrontProgram:
                             touched[kind][sel] = True
                     t[lanes] = nt
         if stats is not None:
-            for i, s in enumerate(stats):
-                tbk = s.time_by_kind
-                for kind, arr in tacc.items():
-                    if touched[kind][i] or kind in tbk:
-                        tbk[kind] = float(arr[i])
-                c = s.counters
-                for nm, arr in cacc.items():
-                    c[nm] = float(arr[i])
-        return [float(x) for x in t]
+            _store_stats(stats, tacc, touched, cacc)
+        return t.tolist()

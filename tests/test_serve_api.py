@@ -98,6 +98,22 @@ def test_malformed_request_line_is_400(served):
     assert b"400" in reply.split(b"\r\n", 1)[0]
 
 
+@pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5"])
+def test_bad_content_length_is_400(served, length):
+    # a Content-Length that is not a non-negative integer must get an
+    # answer, not a dropped connection
+    _, client = served
+    import socket
+
+    with socket.create_connection((client.host, client.port), timeout=30) as s:
+        s.sendall(b"POST /run HTTP/1.1\r\nContent-Length: " + length
+                  + b"\r\n\r\n")
+        reply = s.recv(4096)
+    assert b"400" in reply.split(b"\r\n", 1)[0]
+    assert b"Content-Length" in reply
+    assert client.healthz()
+
+
 @pytest.mark.parametrize("body,fragment", [
     ({}, "spec"),
     ({"spec": {"benchmark": "lbm", "cluster": "A"}, "bogus": 1},
@@ -107,6 +123,11 @@ def test_malformed_request_line_is_400(served):
     ({"spec": {"benchmark": "nope", "cluster": "A"}}, "unknown benchmark"),
     ({"spec": {"benchmark": "lbm", "cluster": "A"}, "max_band": -0.1},
      "max_band"),
+    ({"spec": {"benchmark": "lbm", "cluster": "A"}, "max_band": "abc"},
+     "max_band"),
+    ({"spec": {"benchmark": "lbm", "cluster": "A"}, "max_band": [1]},
+     "max_band"),
+    ([{"spec": {"benchmark": "lbm", "cluster": "A"}}], "JSON body"),
 ])
 def test_bad_run_envelopes_are_400(served, body, fragment):
     _, client = served
@@ -247,7 +268,9 @@ def test_sweep_streams_ndjson_incrementally(served):
 def test_sweep_rejects_bad_envelopes(served):
     _, client = served
     for body in ({"specs": []}, {"specs": "x"},
-                 {"specs": [SPEC], "bogus": 1}):
+                 {"specs": [SPEC], "bogus": 1},
+                 {"specs": [SPEC], "max_band": "abc"},
+                 {"specs": [SPEC], "max_band": -1}):
         with pytest.raises(ServeError) as err:
             client._json("POST", "/sweep", body)
         assert err.value.status == 400

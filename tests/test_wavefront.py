@@ -1,7 +1,7 @@
 """Tests for the wavefront replay tier (precomputed KBA dependency DAG
 with vectorized level-set replay, :mod:`repro.spechpc.wavefront`).
 
-Five layers of evidence:
+Six layers of evidence:
 
 * a hand-computed 3-rank DAG whose level-set clocks are derived inline
   with the engine's documented arithmetic and compared to the bit;
@@ -13,6 +13,10 @@ Five layers of evidence:
 * exact decline: a validation failure forced after the ranks parked
   gives the tiers-off fingerprint, for skewed and synchronized
   boundaries alike, and a decision decline records its own code;
+* the step journal: the dry run's ops lower to the exact replay tuples
+  with the communicator's pricing, and a body whose dry-run step is
+  not the step the engine observed, or that reads the clock, declines
+  with the tiers-off fingerprint;
 * the golden-corpus grid replayed with the tier *forced* on
   (``fast_forward=False`` leaves only the wavefront tier) against the
   full-fidelity reference.
@@ -31,8 +35,16 @@ from repro.harness import run
 from repro.harness.runner import engine_run_count
 from repro.machine import CLUSTER_A
 from repro.machine.registry import get_cluster
+from repro.model.execution import ExecutionModel
+from repro.predict.profile import (
+    ProfileUnsupported, RecvPost, WaitOne, profile_rank,
+)
+from repro.smpi import collectives as coll
+from repro.smpi.comm import Communicator
+from repro.smpi.runtime import MpiRuntime
 from repro.spechpc import get_benchmark
-from repro.spechpc.fastforward import Replayer, ReplayUnsupported
+from repro.spechpc.base import Benchmark, BenchmarkInfo, RunContext, Workload
+from repro.spechpc.fastforward import Replayer, ReplayUnsupported, lower_step
 from repro.spechpc.minisweep import Minisweep
 from repro.spechpc.wavefront import WavefrontProgram
 from repro.validate.golden import fingerprint, golden_cases
@@ -329,6 +341,178 @@ def test_decision_decline_records_its_code():
     }
     assert sync_only.meta["fast_forward"] is False
     assert fingerprint(sync_only) == fingerprint(ref)
+
+
+# --------------------------------------------------------------------------
+# the step journal: one dry-run step, lowered
+# --------------------------------------------------------------------------
+
+BIG = 1 << 20   # rendezvous (above the 64 KiB eager threshold)
+
+
+def test_lowering_prices_like_the_communicator():
+    """A body using every recorded call lowers to the exact replay
+    tuples: per-step request and collective ordinals, the eager and
+    rendezvous constants the communicator and the match use, and the
+    collective costs the communicator passes to its gates.  Work before
+    and after the step loop is not part of the step."""
+    nprocs = 73                     # rank 72 sits on ClusterA's 2nd node
+    ctx = RunContext(
+        cluster=CLUSTER_A, nprocs=nprocs,
+        workload=Workload("tiny"),
+        exec_model=ExecutionModel(CLUSTER_A.node.cpu),
+    )
+
+    def body(comm):
+        yield comm.compute(9.0)
+        loop = ctx.step_loop(comm)
+        while (yield loop.next_step()):
+            yield comm.compute(1.0, flops=2.0)
+            a = comm.isend(1, 8, tag=5)
+            b = comm.irecv(72, tag=6)
+            yield comm.wait(a)
+            c = comm.isend(72, BIG, tag=7)
+            yield comm.waitall([b, c], kind="MPI_Waitall")
+            yield comm.send(72, 16, tag=8)
+            yield comm.recv(1, tag=9)
+            yield comm.sendrecv(1, BIG, 72, BIG, tag=10)
+            yield comm.barrier()
+            yield comm.allreduce(8)
+            yield comm.bcast(16)
+            yield comm.reduce(24)
+            yield comm.allgather(32)
+            yield comm.scatter(40)
+            yield comm.gather(48)
+            yield comm.alltoall(56)
+        yield comm.compute(7.0)
+
+    rt = MpiRuntime(CLUSTER_A, nprocs)
+    net = rt.network
+    assert rt.same_node(0, 1) and not rt.same_node(0, 72)
+    ov = net.per_message_overhead
+
+    def eager(nbytes, intra):
+        return ("e", net.transfer_time(nbytes, intra), ov)
+
+    def rndv(nbytes, intra):
+        lat = net.intra_node_latency if intra else net.latency
+        bw = net.intra_node_bandwidth if intra else net.effective_bandwidth
+        return ("r", lat, net.rendezvous_handshake, lat, nbytes / bw, ov)
+
+    nn = rt.nnodes
+    assert nn == 2
+    expected = [
+        ("compute", 1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.85, 0.85),
+        ("isend", 0, 1, 5, 8, eager(8, True)),
+        ("irecv", 1, 72, 6),
+        ("wait", 0, "MPI_Wait"),
+        ("isend", 2, 72, 7, BIG, rndv(BIG, False)),
+        ("wait", 1, "MPI_Waitall"),
+        ("wait", 2, "MPI_Waitall"),
+        ("isend", 3, 72, 8, 16, eager(16, False)),
+        ("wait", 3, "MPI_Send"),
+        ("irecv", 4, 1, 9),
+        ("wait", 4, "MPI_Recv"),
+        ("irecv", 5, 72, 10),
+        ("isend", 6, 1, 10, BIG, rndv(BIG, True)),
+        ("srwait", 6, 5),
+        ("coll", "MPI_Barrier", 0, coll.barrier_cost(net, nprocs, nn), None),
+        ("coll", "MPI_Allreduce", 1,
+         coll.allreduce_cost(net, nprocs, nn, 8), 8),
+        ("coll", "MPI_Bcast", 2, coll.bcast_cost(net, nprocs, nn, 16), 16),
+        ("coll", "MPI_Reduce", 3, coll.reduce_cost(net, nprocs, nn, 24), 24),
+        ("coll", "MPI_Allgather", 4,
+         coll.allgather_cost(net, nprocs, nn, 32), 32),
+        ("coll", "MPI_Scatter", 5,
+         coll.scatter_cost(net, nprocs, nn, 40), 40),
+        ("coll", "MPI_Gather", 6, coll.gather_cost(net, nprocs, nn, 48), 48),
+        ("coll", "MPI_Alltoall", 7,
+         coll.alltoall_cost(net, nprocs, nn, 56), 56),
+    ]
+    ops = profile_rank(body, nprocs, 0).ops
+    assert lower_step(ops, 0, rt, {}) == expected
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [[WaitOne(99, "MPI_Wait")], [RecvPost(1, 0, -1)]],
+    ids=["foreign-request", "wildcard-tag"],
+)
+def test_lowering_rejects_what_replay_cannot_price(ops):
+    with pytest.raises(ProfileUnsupported):
+        lower_step(ops, 0, MpiRuntime(CLUSTER_A, 2), {})
+
+
+class _Ring(Benchmark):
+    """A 4-rank halo ring with a closing allreduce, bent by ``twist``:
+    ``"flops"`` makes the dry run see other flop counts than the engine,
+    ``"step0"`` adds work to step 0 only, ``"now"`` reads the clock."""
+
+    info = BenchmarkInfo(
+        name="ring", benchmark_id=0, language="C", loc=0,
+        collective="MPI_Allreduce", numerics="-", domain="-",
+        memory_bound=False,
+    )
+    workloads = {"tiny": Workload("tiny", steps=8)}
+
+    def __init__(self, twist=None) -> None:
+        self.twist = twist
+
+    def local_units(self, ctx, rank):
+        return 1.0
+
+    def make_body(self, ctx):
+        twist = self.twist
+
+        def body(comm):
+            left = (comm.rank - 1) % comm.size
+            right = (comm.rank + 1) % comm.size
+            loop = ctx.step_loop(comm)
+            step = 0
+            while (yield loop.next_step()):
+                dry = not isinstance(comm, Communicator)
+                flops = 2e6 if twist == "flops" and dry else 1e6
+                yield comm.compute(1e-3 * (comm.rank + 1), flops=flops)
+                if twist == "step0" and step == 0:
+                    yield comm.compute(5e-4)
+                if twist == "now" and comm.now < 0.0:
+                    yield comm.compute(1.0)
+                rreq = comm.irecv(left, tag=3)
+                yield comm.send(right, 4096, tag=3)
+                yield comm.wait(rreq, kind="MPI_Recv")
+                yield comm.allreduce(8)
+                step += 1
+
+        return body
+
+
+def test_untwisted_ring_engages():
+    r = run(_Ring(), CLUSTER_A, 4, sim_steps=6)
+    ref = run(_Ring(), CLUSTER_A, 4, sim_steps=6,
+              fast_forward=False, wavefront=False)
+    assert r.meta["fast_forward"] is True
+    assert fingerprint(r) == fingerprint(ref)
+
+
+@pytest.mark.parametrize(
+    ("twist", "code"),
+    [("flops", "validation"), ("step0", "validation"),
+     ("now", "unsupported-op")],
+)
+def test_journal_mismatch_declines_exactly(twist, code):
+    """The journal is trusted only by observation: a dry run whose step
+    differs from the engine's only in a counter (the clocks agree), a
+    body whose step 0 differs from its later steps, and a body the dry
+    run cannot follow all decline — and the re-run gives the tiers-off
+    answer."""
+    bench = _Ring(twist)
+    ref = run(bench, CLUSTER_A, 4, sim_steps=6,
+              fast_forward=False, wavefront=False)
+    before = engine_run_count()
+    r = run(bench, CLUSTER_A, 4, sim_steps=6)
+    assert engine_run_count() - before == 2
+    assert r.meta["metrics"]["wavefront"] == {f"declined.{code}": 1.0}
+    assert fingerprint(r) == fingerprint(ref)
 
 
 # --------------------------------------------------------------------------
