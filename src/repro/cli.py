@@ -1026,14 +1026,18 @@ def build_parser() -> argparse.ArgumentParser:
     pserve.add_argument("--no-golden-seed", action="store_true",
                         help="start with an empty prediction corpus")
     pserve.add_argument("--workers", "-j", type=_positive_int, default=2,
-                        help="DES thread-pool width and run_many worker "
-                             "count for sweep batches (default: 2)")
+                        help="thread-pool width, and the run_many worker "
+                             "count and batch size of every cold "
+                             "execution (default: 2)")
     pserve.add_argument("--executor", choices=["serial", "local", "fabric"],
                         default=None,
-                        help="run_many backend for sweep batches "
-                             "(default: auto; 'fabric' fans cold batches "
-                             "out over TCP workers and keeps them joined "
-                             "across requests)")
+                        help="run_many backend for every cold execution "
+                             "(/run, /sweep, /predict's DES tier; "
+                             "default: auto — one-point batches run "
+                             "in-process; 'local' runs each batch in a "
+                             "process pool; 'fabric' fans batches out "
+                             "over TCP workers, one batch at a time, and "
+                             "keeps them joined across requests)")
     pserve.add_argument("--listen", type=_parse_hostport, default=None,
                         metavar="HOST:PORT",
                         help="with --executor fabric: address to accept "

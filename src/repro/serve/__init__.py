@@ -17,10 +17,12 @@ answer ladder.
    when a cheap tier's stated band satisfies it; the answer is flagged
    and band-annotated, never silently substituted for ground truth.
 3. **Single-flight DES** (:mod:`repro.serve.flight`) — genuine cold
-   misses are deduplicated against identical in-flight requests (N
-   concurrent identical specs -> exactly one engine execution), run on
-   the pluggable executor layer, and written back to both the store and
-   the prediction corpus — the service gets cheaper as it runs.
+   misses from ``/run``, ``/sweep`` and ``/predict``'s DES tier take
+   one cold path: deduplicated against identical in-flight requests (N
+   concurrent identical specs -> exactly one engine execution), run in
+   ``run_many`` batches on the pluggable executor layer, and written
+   back to both the store and the prediction corpus — the service gets
+   cheaper as it runs.
 
 :mod:`repro.serve.server` is the asyncio server (``POST /run``,
 ``POST /sweep``, ``POST /predict``, ``GET /status/<job>``,

@@ -1,31 +1,31 @@
 """Single-flight deduplication of identical in-flight requests.
 
 N concurrent requests for the same canonical spec key must cost exactly
-one engine execution: the first caller becomes the *leader* and runs the
-work; every request that arrives while the flight is open *joins* it and
-receives the leader's exact value (for the server: the same response
-bytes).  The flight closes when the work completes, so a later repeat
-hits the result store instead.
+one engine execution.  The server's one cold path *claims* a key before
+it starts the engine and *settles* the flight with the outcome; every
+request that finds the key already claimed *waits* on the open flight
+and receives the same value (for the server: the same store entry,
+hence the same response bytes).  Settling closes the flight, so a later
+repeat hits the result store instead.
 
-asyncio-native: one event loop, futures as rendezvous points.  The
-leader executes the thunk (typically dispatching the DES to a worker
-thread); joiners ``await`` a shielded view of the leader's future so a
-cancelled joiner cannot cancel the shared work under everyone else.
+asyncio-native: one event loop, futures as rendezvous points.  Waiters
+``await`` a shielded view of the flight's future, so a cancelled waiter
+cannot cancel the shared work under everyone else.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable
+from typing import Any
 
 
 class SingleFlight:
-    """Key -> in-flight future map with join accounting."""
+    """Key -> in-flight future map with lead/join accounting."""
 
     def __init__(self) -> None:
         self._inflight: dict[str, asyncio.Future] = {}
-        #: completed flights led / requests coalesced into another
-        #: caller's flight (for ``/metrics``)
+        #: flights settled with a value / waits on an open flight (for
+        #: ``/metrics``)
         self.leads = 0
         self.joins = 0
 
@@ -35,44 +35,10 @@ class SingleFlight:
     def flying(self, key: str) -> bool:
         return key in self._inflight
 
-    async def do(
-        self, key: str, thunk: Callable[[], Awaitable[Any]]
-    ) -> tuple[Any, bool]:
-        """Run ``thunk`` under single-flight semantics for ``key``.
-
-        Returns ``(value, joined)`` — ``joined`` is True when this call
-        coalesced into an already-open flight instead of executing.
-        A failing thunk propagates the same exception to the leader and
-        every joiner, and closes the flight (the next request retries).
-        """
-        existing = self._inflight.get(key)
-        if existing is not None:
-            self.joins += 1
-            return await asyncio.shield(existing), True
-
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = fut
-        try:
-            value = await thunk()
-        except BaseException as exc:
-            fut.set_exception(exc)
-            fut.exception()  # consumed here; joiners re-raise their own
-            raise
-        else:
-            fut.set_result(value)
-            self.leads += 1
-            return value, False
-        finally:
-            # close the flight only after the outcome is published, so
-            # joiners admitted during execution all share it
-            del self._inflight[key]
-
     def claim(self, key: str) -> asyncio.Future | None:
-        """Open a flight for ``key`` without a thunk (batch execution:
-        a sweep claims its cold keys up front so concurrent ``/run``
-        requests coalesce into the batch).  Returns the future to
-        resolve via :meth:`settle`, or ``None`` if already in flight.
-        """
+        """Open the flight for ``key``: returns the future to resolve
+        via :meth:`settle`, or ``None`` if ``key`` is already in flight
+        (then :meth:`wait` on it)."""
         if key in self._inflight:
             return None
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -81,10 +47,11 @@ class SingleFlight:
 
     def settle(self, key: str, fut: asyncio.Future, value: Any = None,
                error: BaseException | None = None) -> None:
-        """Publish a claimed flight's outcome and close it."""
+        """Publish a claimed flight's outcome to its waiters and close
+        it.  An error reaches every waiter; the next claim retries."""
         if error is not None:
             fut.set_exception(error)
-            fut.exception()
+            fut.exception()  # consumed here; waiters re-raise their own
         else:
             fut.set_result(value)
             self.leads += 1
@@ -92,8 +59,8 @@ class SingleFlight:
             del self._inflight[key]
 
     async def wait(self, key: str) -> Any | None:
-        """Join an open flight for ``key`` (or return ``None`` if none
-        is open) — used by batch paths to reuse someone else's work."""
+        """Join the open flight for ``key``: its value, or its error
+        re-raised; ``None`` if no flight is open."""
         fut = self._inflight.get(key)
         if fut is None:
             return None

@@ -1,10 +1,10 @@
-"""The server's job table: every request gets a traceable job record.
+"""The server's job table: every sweep gets a traceable job record.
 
-``POST /sweep`` returns its job id immediately in the response header
-(and in every NDJSON progress event), so ``GET /status/<job>`` can
-answer "how far along is my sweep" from another connection while the
-batch is still executing.  Single ``/run`` requests are journaled too —
-the table doubles as the server's recent-request log.
+``POST /sweep`` returns its job id immediately in its first NDJSON
+event (``accepted``, repeated in every progress event), so
+``GET /status/<job>`` can answer "how far along is my sweep" from
+another connection while the batch is still executing.  ``/run`` and
+``/predict`` answer one point on their own connection and get no job.
 
 Timestamps are ``time.monotonic`` deltas (durations), not wall-clock
 epochs: the table is in-memory observability, not an audit log.
@@ -24,10 +24,10 @@ JOB_HISTORY = 512
 
 @dataclass
 class Job:
-    """One tracked request (a /run point or a whole /sweep batch)."""
+    """One tracked ``/sweep`` batch."""
 
     id: str
-    kind: str                        # "run" | "sweep" | "predict"
+    kind: str                        # "sweep"
     total: int = 1                   # points in the batch
     done: int = 0                    # points answered so far
     state: str = "queued"            # queued | running | done | failed

@@ -5,42 +5,49 @@ Pure stdlib (``asyncio`` + ``http.HTTPStatus``): requests are parsed off
 an :func:`asyncio.start_server` stream, one request per connection
 (``Connection: close``), JSON bodies in, JSON or NDJSON out.
 
-Every answer flows through the three-level ladder (cheapest level that
+Every answer flows through one three-level ladder (cheapest level that
 can defend its answer):
 
 1. **store** — the canonical spec key hits the content-addressed result
    store: the cached, integrity-verified DES answer is returned as-is.
-2. **predict** — the request stated a ``max_band`` and a cheap
-   prediction tier's *own stated band* satisfies it: the tier's answer
-   is returned, band-annotated and flagged (``source: "predict"``,
-   ``fingerprint: null`` — a prediction is never dressed up as ground
-   truth).
-3. **des** — a genuine cold miss: deduplicated against identical
-   in-flight requests (single-flight — N concurrent identical specs
-   cost one engine execution and every caller receives the leader's
-   exact bytes), executed, fingerprinted, and written back to both the
-   result store and the prediction corpus.  The service gets cheaper
-   as it runs.
+2. **predict** — the request stated a ``max_band``, the key is not
+   already executing, and a cheap prediction tier's *own stated band*
+   satisfies it: the tier's answer is returned, band-annotated and
+   flagged (``source: "predict"``, ``fingerprint: null`` — a prediction
+   is never dressed up as ground truth).
+3. **des** — a genuine cold miss, answered by the one cold path
+   (:meth:`ServeApp._cold`): every cold key is claimed under
+   single-flight (N concurrent identical specs cost one engine
+   execution and every caller receives the same answer), the claimed
+   specs run in worker-sized :func:`repro.harness.parallel.run_many`
+   batches over the configured executor, and each result is
+   fingerprinted and written back to both the result store and the
+   prediction corpus.  The service gets cheaper as it runs.
 
-The DES never blocks the event loop: executions run on a bounded thread
-pool for ``/run`` and through :func:`repro.harness.parallel.run_many`
-(pluggable executor — local pool or the TCP fabric) for ``/sweep``
-batches.
+``/run`` sends one point down the ladder, ``/sweep`` streams its points
+from it, and ``/predict`` answers its DES tier from the store or the
+cold path.  The engine never blocks the event loop: batches run on a
+bounded thread pool, and a shared executor instance (the fabric) runs
+one batch at a time.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
+import contextlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from http import HTTPStatus
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+from repro.harness.parallel import run_many
+from repro.harness.results import FailedRun
 from repro.serve.flight import SingleFlight
 from repro.serve.jobs import JobTable
-from repro.serve.spec import ServeSpec, SpecError
+from repro.serve.spec import ServeSpec, SpecError, json_typed
 from repro.serve.store import ResultStore, StoreEntry
 
 #: Request size guards (one simulation spec is a few hundred bytes; a
@@ -75,10 +82,7 @@ def _parse_max_band(value: Any) -> Optional[float]:
     or a number >= 0 (``inf`` accepts any band)."""
     if value is None:
         return None
-    try:
-        band = float(value)
-    except (TypeError, ValueError):
-        raise SpecError(f"max_band must be a number (got {value!r})") from None
+    band = float(json_typed(value, float, "max_band"))
     if not band >= 0.0:  # NaN fails too
         raise SpecError("max_band must be >= 0")
     return band
@@ -104,16 +108,14 @@ class ServeApp:
         (the 36 checked-in DES ground-truth points), so ``max_band``
         requests interpolate from the first request onward.
     workers:
-        Thread-pool width for ``/run`` DES executions *and* the
-        ``run_many`` worker count for ``/sweep`` batches.
+        Thread-pool width, and the ``run_many`` worker count and batch
+        size of the cold path.
     sweep_executor:
-        ``run_many`` backend for sweep batches: ``None`` (auto),
-        ``"serial"``, ``"local"``, or a constructed executor instance —
-        e.g. :class:`repro.harness.fabric.FabricExecutor` so a TCP
-        worker fleet backs the service.
-    inject_des_latency:
-        Test/chaos hook: sleep this many seconds inside every DES
-        execution (exercises coalescing windows deterministically).
+        ``run_many`` backend of every cold execution: ``None`` (auto —
+        a one-point batch runs in-process, a wider one in a local
+        pool), ``"serial"``, ``"local"``, or a constructed executor
+        instance — e.g. :class:`repro.harness.fabric.FabricExecutor` so
+        a TCP worker fleet backs the service.
     """
 
     def __init__(
@@ -125,7 +127,6 @@ class ServeApp:
         golden_dir: str | None = None,
         workers: int = 2,
         sweep_executor: Any = None,
-        inject_des_latency: float = 0.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -142,11 +143,15 @@ class ServeApp:
             self.corpus = PredictionCorpus(corpus_path)
         self.workers = workers
         self.sweep_executor = sweep_executor
-        if not isinstance(sweep_executor, (str, type(None))):
+        shared = not isinstance(sweep_executor, (str, type(None)))
+        if shared:
             # one backend serves many run_many batches; drive() must not
             # shut it down after the first — the app owns its lifecycle
             sweep_executor.persistent = True
-        self.inject_des_latency = inject_des_latency
+        # a shared instance keys its work by each batch's item indices
+        # 0..n-1, so its batches must not overlap; named and auto
+        # executors are built afresh for every batch
+        self._one_batch = asyncio.Lock() if shared else contextlib.nullcontext()
         self.flight = SingleFlight()
         self.jobs = JobTable()
         self._pool = ThreadPoolExecutor(
@@ -348,14 +353,6 @@ class ServeApp:
             "result": result.to_checkpoint_dict(),
         })
 
-    def _execute_des(self, spec: ServeSpec):
-        """Worker-thread entry: one engine execution for one spec."""
-        from repro.harness.parallel import execute
-
-        if self.inject_des_latency > 0.0:
-            time.sleep(self.inject_des_latency)
-        return execute(spec.run_spec())
-
     def _absorb(self, spec: ServeSpec, key: str, result) -> StoreEntry:
         """Write one fresh DES answer back to the store and the corpus."""
         from repro.validate.golden import fingerprint
@@ -388,32 +385,91 @@ class ServeApp:
             return pred
         return None
 
-    async def _answer_run(self, spec: ServeSpec, max_band: Optional[float],
-                          force: bool) -> tuple[bytes, str]:
-        """-> (payload bytes, ladder level) for one spec."""
-        key = spec.key
-        loop = asyncio.get_running_loop()
-        if not force:
-            entry = self.store.get(key)
-            if entry is not None:
-                return self._entry_payload(entry, "store"), "store"
-            if max_band is not None and not self.flight.flying(key):
-                pred = await loop.run_in_executor(
-                    self._pool, self._try_predict, spec, max_band
-                )
-                if pred is not None:
-                    return self._prediction_payload(spec, key, pred), "predict"
-
-        async def thunk() -> bytes:
-            result = await loop.run_in_executor(
-                self._pool, self._execute_des, spec
+    async def _cheap(self, spec: ServeSpec, key: str,
+                     max_band: Optional[float]) -> Optional[tuple[str, Any]]:
+        """Ladder levels 1-2 -> ``("store", StoreEntry)``,
+        ``("predict", Prediction)``, or ``None`` for a cold point.  A
+        key already in flight is not predicted: the engine's answer is
+        on its way."""
+        entry = self.store.get(key)
+        if entry is not None:
+            return "store", entry
+        if max_band is not None and not self.flight.flying(key):
+            pred = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self._try_predict, spec, max_band
             )
-            self.des_runs += 1
-            entry = self._absorb(spec, key, result)
-            return self._entry_payload(entry, "des")
+            if pred is not None:
+                return "predict", pred
+        return None
 
-        payload, joined = await self.flight.do(key, thunk)
-        return payload, ("coalesced" if joined else "des")
+    async def _cold(self, points: list[tuple[int, ServeSpec, str]],
+                    answer: Callable[[int, str, Any], None]) -> None:
+        """Ladder level 3 for ``(index, spec, key)`` points — the one
+        place the service starts the engine.
+
+        Claims every cold key up front (a key already in flight is
+        joined instead), runs the claimed specs in worker-sized
+        ``run_many`` batches over the configured executor, settles each
+        flight with its :class:`StoreEntry` or error, then waits on the
+        joined flights.  ``answer(index, source, outcome)`` is called
+        once per point as it resolves: ``source`` is ``"des"``,
+        ``"coalesced"`` or ``"failed"``, ``outcome`` the entry or the
+        error.
+        """
+        loop = asyncio.get_running_loop()
+        claimed, joined = [], []
+        for i, spec, key in points:
+            fut = self.flight.claim(key)
+            if fut is None:
+                joined.append((i, key))
+            else:
+                claimed.append((i, spec, key, fut))
+        try:
+            for lo in range(0, len(claimed), self.workers):
+                batch = claimed[lo:lo + self.workers]
+                async with self._one_batch:
+                    outcomes = await loop.run_in_executor(self._pool, partial(
+                        run_many, [spec.run_spec() for _, spec, _, _ in batch],
+                        workers=self.workers, executor=self.sweep_executor,
+                        tolerate_failures=True,
+                    ))
+                for (i, spec, key, fut), outcome in zip(batch, outcomes):
+                    if isinstance(outcome, FailedRun):
+                        source, value = "failed", RuntimeError(outcome.summary())
+                        self.flight.settle(key, fut, error=value)
+                    else:
+                        self.des_runs += 1
+                        source, value = "des", self._absorb(spec, key, outcome)
+                        self.flight.settle(key, fut, value=value)
+                    answer(i, source, value)
+        finally:
+            # an aborted batch must not leave joiners on open flights
+            for _, _, key, fut in claimed:
+                if not fut.done():
+                    self.flight.settle(
+                        key, fut, error=RuntimeError("cold batch aborted")
+                    )
+        for i, key in joined:
+            try:
+                # a flight that closed before we got here left its
+                # entry in the store (or failed)
+                entry = await self.flight.wait(key) or self.store.get(key)
+            except Exception as exc:
+                answer(i, "failed", exc)
+                continue
+            if entry is None:
+                answer(i, "failed", RuntimeError("joined flight failed"))
+            else:
+                answer(i, "coalesced", entry)
+
+    async def _cold_one(self, spec: ServeSpec, key: str) -> tuple[str, Any]:
+        """One point through :meth:`_cold`; a failed run raises."""
+        answers: list = []
+        await self._cold([(0, spec, key)], lambda _, *got: answers.append(got))
+        [(source, outcome)] = answers
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return source, outcome
 
     # ------------------------------------------------------------------
     # endpoints
@@ -430,14 +486,24 @@ class ServeApp:
             raise SpecError(f"unknown request field(s): {', '.join(extra)}")
         spec = ServeSpec.from_request(body["spec"])
         max_band = _parse_max_band(body.get("max_band"))
-        return spec, max_band, bool(body.get("force", False))
+        return spec, max_band, json_typed(body.get("force", False), bool,
+                                          "force")
 
     async def _handle_run(self, body: dict,
                           writer: asyncio.StreamWriter) -> None:
         t0 = time.perf_counter()
         spec, max_band, force = self._parse_envelope(body)
-        payload, source = await self._answer_run(spec, max_band, force)
+        key = spec.key
+        found = None if force else await self._cheap(spec, key, max_band)
+        source, answer = found or await self._cold_one(spec, key)
         self._observe(source, t0)
+        if source == "predict":
+            payload = self._prediction_payload(spec, key, answer)
+        else:
+            # joiners get the leader's exact bytes
+            payload = self._entry_payload(
+                answer, "store" if source == "store" else "des"
+            )
         await self._respond(writer, payload)
 
     async def _handle_predict(self, body: dict,
@@ -450,7 +516,7 @@ class ServeApp:
             raise SpecError(f"unknown request field(s): {', '.join(extra)}")
         spec = ServeSpec.from_request(body["spec"])
         tier = body.get("tier", "auto")
-        allow_des = bool(body.get("allow_des", False))
+        allow_des = json_typed(body.get("allow_des", False), bool, "allow_des")
         pspec = spec.prediction_spec()
         if pspec is None:
             raise SpecError(
@@ -461,41 +527,39 @@ class ServeApp:
 
         if tier not in TIERS:
             raise SpecError(f"unknown tier {tier!r}; expected one of {TIERS}")
-        loop = asyncio.get_running_loop()
-        pred = await loop.run_in_executor(
-            self._pool,
-            lambda: predict(pspec, tier=tier, corpus=self.corpus,
-                            allow_des=allow_des),
-        )
-        if pred.tier == "des":
-            self.des_runs += 1
-        low, high = pred.runtime_interval
-        self._observe("predict", t0)
+        key = spec.key
+        pred = None
+        if tier != "des":
+            pred = await asyncio.get_running_loop().run_in_executor(
+                self._pool,
+                lambda: predict(pspec, tier=tier, corpus=self.corpus,
+                                allow_des=False),
+            )
+            if (tier == "auto" and allow_des
+                    and pred.details.get("fallback") == "analytic"):
+                pred = None  # no cheap tier could vouch: escalate
+        if pred is None:
+            # the DES tier is an exact answer: store, else the cold path
+            source, entry = (await self._cheap(spec, key, None)
+                             or await self._cold_one(spec, key))
+            tier, band = "des", 0.0
+            runtime, energy = entry.result.elapsed, entry.result.energy
+        else:
+            source, band, runtime, energy = (
+                "predict", pred.band, pred.runtime, pred.energy)
+            tier = pred.details.get("fallback") or pred.tier
+        self._observe(source, t0)
         await self._respond(writer, _dumps({
-            "key": spec.key,
+            "key": key,
             "source": "predict",
-            "tier": pred.details.get("fallback") or pred.tier,
-            "band": pred.band,
-            "runtime_s": pred.runtime,
-            "runtime_interval_s": [low, high],
-            "energy_j": pred.energy.total_energy,
+            "tier": tier,
+            "band": band,
+            "runtime_s": runtime,
+            "runtime_interval_s": [runtime / (1.0 + band),
+                                   runtime * (1.0 + band)],
+            "energy_j": energy.total_energy,
             "spec": spec.canonical_record(),
         }))
-
-    def _run_batch(self, run_specs: list) -> list:
-        """Worker-thread entry: one ``run_many`` batch over the
-        configured executor (local pool by default, fabric when the
-        server was started with one)."""
-        from repro.harness.parallel import run_many
-
-        if self.inject_des_latency > 0.0:
-            time.sleep(self.inject_des_latency)
-        return run_many(
-            run_specs,
-            workers=self.workers,
-            executor=self.sweep_executor,
-            tolerate_failures=True,
-        )
 
     async def _handle_sweep(self, body: dict,
                             writer: asyncio.StreamWriter) -> None:
@@ -506,126 +570,55 @@ class ServeApp:
         if not isinstance(raw_specs, list) or not raw_specs:
             raise SpecError("body needs a non-empty 'specs' array")
         specs = [ServeSpec.from_request(doc) for doc in raw_specs]
+        keys = [s.key for s in specs]
         max_band = _parse_max_band(body.get("max_band"))
-        stream = bool(body.get("stream", False))
+        stream = json_typed(body.get("stream", False), bool, "stream")
 
         job = self.jobs.create("sweep", total=len(specs))
         events: list[bytes] = []
 
-        async def emit(doc: dict) -> None:
-            line = _dumps(doc)
-            if stream:
-                writer.write(line)
-                await writer.drain()
+        def emit(doc: dict) -> None:
+            # a streamed line goes out now; flow control waits for done
+            (writer.write if stream else events.append)(_dumps(doc))
+
+        def point(i: int, source: str, outcome: Any, t0: float) -> None:
+            job.tick(source)
+            self._observe(source, t0)
+            doc = {"event": "point", "index": i, "job": job.id,
+                   "source": source, "key": keys[i]}
+            if source == "predict":
+                doc.update(tier=outcome.details.get("fallback") or outcome.tier,
+                           band=outcome.band, fingerprint=None)
+            elif source == "failed":
+                doc["error"] = str(outcome)
             else:
-                events.append(line)
+                doc["fingerprint"] = outcome.fingerprint
+            emit(doc)
 
         if stream:
             await self._write_head(writer, HTTPStatus.OK, _NDJSON, None)
-        await emit({"event": "accepted", "job": job.id, "total": len(specs)})
+        emit({"event": "accepted", "job": job.id, "total": len(specs)})
 
-        loop = asyncio.get_running_loop()
-        keys = [s.key for s in specs]
-        cold: list[tuple[int, ServeSpec, str, asyncio.Future]] = []
-        waiting: list[tuple[int, str]] = []
+        cold = []
         try:
             for i, (spec, key) in enumerate(zip(specs, keys)):
                 t0 = time.perf_counter()
-                entry = self.store.get(key)
-                if entry is not None:
-                    job.tick("store")
-                    self._observe("store", t0)
-                    await emit({"event": "point", "index": i, "job": job.id,
-                                "source": "store", "key": key,
-                                "fingerprint": entry.fingerprint})
-                    continue
-                if max_band is not None:
-                    pred = await loop.run_in_executor(
-                        self._pool, self._try_predict, spec, max_band
-                    )
-                    if pred is not None:
-                        job.tick("predict")
-                        self._observe("predict", t0)
-                        await emit({
-                            "event": "point", "index": i, "job": job.id,
-                            "source": "predict", "key": key,
-                            "tier": pred.details.get("fallback") or pred.tier,
-                            "band": pred.band, "fingerprint": None,
-                        })
-                        continue
-                fut = self.flight.claim(key)
-                if fut is None:
-                    # an identical spec is already executing (another
-                    # request, or earlier in this very sweep)
-                    waiting.append((i, key))
+                found = await self._cheap(spec, key, max_band)
+                if found is None:
+                    cold.append((i, spec, key))
                 else:
-                    cold.append((i, spec, key, fut))
-
-            # batch the cold points through run_many in worker-sized
-            # chunks, so progress streams while later chunks still run
-            chunk = max(1, self.workers)
-            for lo in range(0, len(cold), chunk):
-                batch = cold[lo:lo + chunk]
-                t0 = time.perf_counter()
-                outcomes = await loop.run_in_executor(
-                    self._pool, self._run_batch,
-                    [spec.run_spec() for _, spec, _, _ in batch],
-                )
-                for (i, spec, key, fut), outcome in zip(batch, outcomes):
-                    if getattr(outcome, "failed", False):
-                        error = RuntimeError(outcome.summary())
-                        self.flight.settle(key, fut, error=error)
-                        job.tick("failed")
-                        self._observe("failed", t0)
-                        await emit({
-                            "event": "point", "index": i, "job": job.id,
-                            "source": "failed", "key": key,
-                            "error": outcome.summary(),
-                        })
-                        continue
-                    self.des_runs += 1
-                    entry = self._absorb(spec, key, outcome)
-                    self.flight.settle(
-                        key, fut, value=self._entry_payload(entry, "des")
-                    )
-                    job.tick("des")
-                    self._observe("des", t0)
-                    await emit({"event": "point", "index": i, "job": job.id,
-                                "source": "des", "key": key,
-                                "fingerprint": entry.fingerprint})
-
-            for i, key in waiting:
-                t0 = time.perf_counter()
-                try:
-                    await self.flight.wait(key)
-                except Exception as exc:
-                    job.tick("failed")
-                    await emit({"event": "point", "index": i, "job": job.id,
-                                "source": "failed", "key": key,
-                                "error": str(exc)})
-                    continue
-                entry = self.store.get(key)
-                source = "coalesced" if entry is not None else "failed"
-                job.tick(source)
-                self._observe(source, t0)
-                await emit({
-                    "event": "point", "index": i, "job": job.id,
-                    "source": source, "key": key,
-                    "fingerprint": entry.fingerprint if entry else None,
-                })
+                    point(i, *found, t0)
+            t0 = time.perf_counter()
+            await self._cold(
+                cold, lambda i, source, outcome: point(i, source, outcome, t0)
+            )
         except BaseException:
-            # settle any unresolved claims so /run joiners don't hang
-            for _, _, key, fut in cold:
-                if not fut.done():
-                    self.flight.settle(
-                        key, fut,
-                        error=RuntimeError("sweep aborted mid-batch"),
-                    )
             self.jobs.finish(job, error="sweep aborted")
             raise
         self.jobs.finish(job)
-        await emit({"event": "done", **job.to_doc()})
+        emit({"event": "done", **job.to_doc()})
         if stream:
+            await writer.drain()
             return  # NDJSON already written; close-delimited
         payload = b"".join(events)
         await self._write_head(writer, HTTPStatus.OK, _NDJSON, len(payload))

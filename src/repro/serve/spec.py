@@ -53,6 +53,18 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def json_typed(value: Any, kind: type, name: str) -> Any:
+    """``value`` if it is a JSON ``kind`` — ``bool``, ``int``, or
+    ``float`` for any number — else :class:`SpecError`.  Python's
+    ``bool`` is an ``int``, so ``true`` is neither an integer nor a
+    number here, and ``"false"`` is not a boolean."""
+    kinds = (int, float) if kind is float else (kind,)
+    if isinstance(value, kinds) and (kind is bool) == isinstance(value, bool):
+        return value
+    noun = {bool: "boolean", int: "integer", float: "number"}[kind]
+    raise SpecError(f"{name} must be a JSON {noun} (got {value!r})")
+
+
 @dataclass(frozen=True)
 class ServeSpec:
     """One canonicalized serving request.
@@ -85,7 +97,9 @@ class ServeSpec:
         """Validate and canonicalize one request body.
 
         Unknown fields are rejected loudly — a typo like ``"node"`` for
-        ``"nnodes"`` must not silently price a different run.
+        ``"nnodes"`` must not silently price a different run — and so
+        are mistyped ones: ``"nnodes": 2.7`` or ``true`` is not the
+        integer 2 or 1.
         """
         _require(isinstance(doc, dict), "request spec must be a JSON object")
         allowed = {
@@ -100,26 +114,30 @@ class ServeSpec:
             "cluster" in doc or "scenario" in doc,
             "spec needs a 'cluster' or a 'scenario'",
         )
+
+        def typed(name: str, kind: type, default: Any) -> Any:
+            value = doc.get(name, default)
+            if value is None and default is None:
+                return None
+            return json_typed(value, kind, name)
+
         try:
             spec = cls(
                 benchmark=str(doc["benchmark"]),
                 cluster=(
                     None if doc.get("cluster") is None else str(doc["cluster"])
                 ),
-                nnodes=int(doc.get("nnodes", 1)),
-                nprocs=None if doc.get("nprocs") is None else int(doc["nprocs"]),
+                nnodes=typed("nnodes", int, 1),
+                nprocs=typed("nprocs", int, None),
                 suite=None if doc.get("suite") is None else str(doc["suite"]),
-                threads=int(doc.get("threads", 1)),
-                seed=int(doc.get("seed", 0)),
-                noise_sigma=float(doc.get("noise_sigma", 0.0)),
-                sim_steps=(
-                    None if doc.get("sim_steps") is None
-                    else int(doc["sim_steps"])
-                ),
+                threads=typed("threads", int, 1),
+                seed=typed("seed", int, 0),
+                noise_sigma=float(typed("noise_sigma", float, 0.0)),
+                sim_steps=typed("sim_steps", int, None),
                 faults=doc.get("faults"),
                 scenario=doc.get("scenario"),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # SpecError included
             raise SpecError(f"malformed spec field: {exc}") from exc
         spec.validate()
         return spec

@@ -128,6 +128,15 @@ def test_bad_content_length_is_400(served, length):
     ({"spec": {"benchmark": "lbm", "cluster": "A"}, "max_band": [1]},
      "max_band"),
     ([{"spec": {"benchmark": "lbm", "cluster": "A"}}], "JSON body"),
+    ({"spec": {"benchmark": "lbm", "cluster": "A"}, "max_band": True},
+     "max_band"),
+    ({"spec": {"benchmark": "lbm", "cluster": "A"}, "force": "false"},
+     "force"),
+    ({"spec": {"benchmark": "lbm", "cluster": "A"}, "force": 0}, "force"),
+    ({"spec": {"benchmark": "lbm", "cluster": "A", "nnodes": 2.7}},
+     "nnodes"),
+    ({"spec": {"benchmark": "lbm", "cluster": "A", "nnodes": True}},
+     "nnodes"),
 ])
 def test_bad_run_envelopes_are_400(served, body, fragment):
     _, client = served
@@ -212,6 +221,19 @@ def test_predict_endpoint_prices_without_executing(served):
     assert doc["energy_j"] > 0.0
 
 
+def test_predict_allow_des_must_be_a_boolean(served):
+    # "false" is a string, not false: it must not unlock the engine
+    # (auto escalates at this point when allow_des is true)
+    _, client = served
+    spec = {"benchmark": "soma", "cluster": "A", "nnodes": 8}
+    before = engine_run_count()
+    with pytest.raises(ServeError) as err:
+        client._json("POST", "/predict", {"spec": spec, "allow_des": "false"})
+    assert err.value.status == 400
+    assert "allow_des" in err.value.message
+    assert engine_run_count() == before
+
+
 def test_predict_endpoint_rejects_unpriceable_specs(served):
     _, client = served
     with pytest.raises(ServeError) as err:
@@ -270,7 +292,10 @@ def test_sweep_rejects_bad_envelopes(served):
     for body in ({"specs": []}, {"specs": "x"},
                  {"specs": [SPEC], "bogus": 1},
                  {"specs": [SPEC], "max_band": "abc"},
-                 {"specs": [SPEC], "max_band": -1}):
+                 {"specs": [SPEC], "max_band": -1},
+                 {"specs": [SPEC], "max_band": False},
+                 {"specs": [SPEC], "stream": "false"},
+                 {"specs": [{**SPEC, "seed": "3"}]}):
         with pytest.raises(ServeError) as err:
             client._json("POST", "/sweep", body)
         assert err.value.status == 400

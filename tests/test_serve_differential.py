@@ -110,6 +110,16 @@ def test_request_round_trip_preserves_key():
      "noise_sigma"),
     ({"benchmark": "lbm", "cluster": "A", "faults": {"bogus": 1}},
      "fault plan"),
+    ({"benchmark": "lbm", "cluster": "A", "nnodes": 2.7}, "nnodes"),
+    ({"benchmark": "lbm", "cluster": "A", "nnodes": True}, "nnodes"),
+    ({"benchmark": "lbm", "cluster": "A", "nprocs": 4.0}, "nprocs"),
+    ({"benchmark": "lbm", "cluster": "A", "threads": False}, "threads"),
+    ({"benchmark": "lbm", "cluster": "A", "seed": "3"}, "seed"),
+    ({"benchmark": "lbm", "cluster": "A", "sim_steps": True}, "sim_steps"),
+    ({"benchmark": "lbm", "cluster": "A", "noise_sigma": True},
+     "noise_sigma"),
+    ({"benchmark": "lbm", "cluster": "A", "noise_sigma": "0.1"},
+     "noise_sigma"),
 ])
 def test_malformed_specs_rejected_loudly(doc, fragment):
     with pytest.raises(SpecError, match=fragment):
