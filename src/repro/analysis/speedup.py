@@ -8,8 +8,6 @@ ideally *across* domains.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.harness.results import RunResult, ScalingSeries
 
 
@@ -50,13 +48,3 @@ def speedup_table(
     """Rows of (nprocs, min, avg, max) speedup — Fig. 1(a, d) data."""
     stats = series.speedup_stats(baseline)
     return [(n, *stats[n]) for n in series.proc_counts]
-
-
-def is_memory_saturating(
-    bandwidths: Sequence[float], domain_bw: float, threshold: float = 0.9
-) -> bool:
-    """True if the in-domain bandwidth ramp reaches the saturated domain
-    bandwidth (the paper's memory-bound signature, Fig. 2(a-b))."""
-    if not bandwidths:
-        return False
-    return max(bandwidths) >= threshold * domain_bw

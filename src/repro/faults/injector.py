@@ -76,14 +76,6 @@ class FaultInjector:
 
     # --- compute stretching ---------------------------------------------------
 
-    def affects_compute(self, rank: int) -> bool:
-        """True if any slow-rank window or noise source targets ``rank``."""
-        return (
-            rank in self._slow_by_rank
-            or rank in self._noise_by_rank
-            or None in self._noise_by_rank
-        )
-
     def _compute_faults(self, rank: int):
         slows = self._slow_by_rank.get(rank, ())
         noises = self._noise_by_rank.get(rank, ()) + self._noise_by_rank.get(

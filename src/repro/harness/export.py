@@ -93,11 +93,3 @@ def write_series_json(path: str, series: ScalingSeries) -> None:
     """Write a scaling series to a JSON file."""
     with open(path, "w") as fh:
         fh.write(series_to_json(series))
-
-
-def write_records_jsonl(
-    path: str, records: Iterable[Union[RunResult, FailedRun]]
-) -> None:
-    """Write a mixed result list (successes and failures) to a JSONL file."""
-    with open(path, "w") as fh:
-        fh.write(records_to_jsonl(records))

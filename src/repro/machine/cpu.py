@@ -137,11 +137,6 @@ class CpuSpec:
         """Sustained bandwidth of one ccNUMA domain [B/s]."""
         return self.sustained_memory_bw / self.numa_domains
 
-    @property
-    def machine_balance(self) -> float:
-        """Bytes per flop at peak (memory bandwidth / peak performance)."""
-        return self.sustained_memory_bw / self.peak_flops
-
     def describe(self) -> str:
         """One-line summary used in reports."""
         return (

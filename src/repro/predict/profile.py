@@ -7,12 +7,12 @@ event engine.  The benchmark bodies already encode that structure as
 generators over a :class:`~repro.smpi.comm.Communicator`; this module
 drives a body with a :class:`RecordingComm` (every MPI method records a
 constant-only op and returns immediately — no events, no virtual time)
-through exactly one step of a fake
-:class:`~repro.spechpc.fastforward.StepLoop`, yielding a
-:class:`RankProfile`.  The replay tiers' controller dry-runs *every*
-rank this way and lowers the ops to its replay journal
-(:func:`~repro.spechpc.fastforward.lower_step`); Tier A ignores the
-message tags that lowering needs.
+through the steps of a fake :class:`~repro.spechpc.fastforward.StepLoop`,
+yielding a :class:`RankProfile`.  Tier A records one step.  The replay
+tiers' controller dry-runs *every* rank for two steps, lowers both to
+its replay journal (:func:`~repro.spechpc.fastforward.lower_step`) and
+requires them equal; Tier A ignores the message tags that lowering
+needs.
 
 The profiler is exact about structure and counters: the op list contains
 the same phase costs (priced by the real
@@ -125,11 +125,17 @@ class Coll:
 
 @dataclass
 class RankProfile:
-    """One rank's recorded step plus its sampling weight."""
+    """One rank's recorded steps plus its sampling weight."""
 
     rank: int
     weight: int
-    ops: list = field(default_factory=list)
+    #: one op list per recorded step
+    steps: list = field(default_factory=list)
+
+    @property
+    def ops(self) -> list:
+        """The first recorded step's ops."""
+        return self.steps[0]
 
 
 # --------------------------------------------------------------------------
@@ -166,8 +172,9 @@ class _StepToken:
 
 
 class _ProfileLoop:
-    """Fake :class:`~repro.spechpc.fastforward.StepLoop` driving exactly
-    one recorded step (steps are structurally identical, so one suffices)."""
+    """Fake :class:`~repro.spechpc.fastforward.StepLoop` driving the dry
+    run's ``nsteps`` recorded steps; each boundary after the first
+    closes one step's op list."""
 
     __slots__ = ("_comm", "_entered")
 
@@ -179,12 +186,14 @@ class _ProfileLoop:
         return _StepToken(self)
 
     def advance(self) -> bool:
-        """True on entry to the one step, False at its end."""
+        """True on entry to each recorded step, False at the end of the
+        last."""
+        comm = self._comm
         if self._entered:
-            return False
+            comm.recorded.append(comm.ops)
         self._entered = True
-        self._comm.ops.clear()   # drop anything yielded before the loop
-        return True
+        comm.ops = []   # the first call drops anything yielded before the loop
+        return len(comm.recorded) < comm.nsteps
 
 
 class RecordingComm:
@@ -196,12 +205,15 @@ class RecordingComm:
     DES.
     """
 
-    __slots__ = ("rank", "size", "ops", "_next_req")
+    __slots__ = ("rank", "size", "ops", "nsteps", "recorded", "_next_req")
 
-    def __init__(self, rank: int, size: int) -> None:
+    def __init__(self, rank: int, size: int, nsteps: int = 1) -> None:
         self.rank = rank
         self.size = size
         self.ops: list = []
+        #: steps to record, and the op lists of those finished so far
+        self.nsteps = nsteps
+        self.recorded: list[list] = []
         self._next_req = 0
 
     @property
@@ -209,7 +221,7 @@ class RecordingComm:
         raise ProfileUnsupported("reading the virtual clock")
 
     def step_loop(self) -> _ProfileLoop:
-        """The one-step loop :meth:`RunContext.step_loop
+        """The recording loop :meth:`RunContext.step_loop
         <repro.spechpc.base.RunContext.step_loop>` hands a dry run."""
         return _ProfileLoop(self)
 
@@ -413,16 +425,19 @@ def profile_rank(
     nprocs: int,
     rank: int,
     weight: int = 1,
+    nsteps: int = 1,
 ) -> RankProfile:
-    """Drive ``body`` for rank ``rank`` through one recorded step.
+    """Drive ``body`` for rank ``rank`` through ``nsteps`` recorded
+    steps.
 
     A stack-based generator trampoline stands in for the event engine:
     yielded sub-generators are pushed and run inline; yielded op tokens
     resolve immediately to their recorded results.  The dry run stops
-    at the end of the step; whatever the body does after its step loop
-    is not part of the profile.
+    at the end of the last recorded step; whatever the body does after
+    it is not part of the profile.  A body that returns earlier keeps
+    its unfinished step as the last one.
     """
-    comm = RecordingComm(rank, nprocs)
+    comm = RecordingComm(rank, nprocs, nsteps)
     stack: list[GeneratorType] = [body(comm)]
     send = None
     while stack:
@@ -443,7 +458,9 @@ def profile_rank(
             send = True
         else:
             raise ProfileUnsupported(f"body yielded {y!r}")
-    return RankProfile(rank=rank, weight=weight, ops=list(comm.ops))
+    else:
+        comm.recorded.append(comm.ops)
+    return RankProfile(rank=rank, weight=weight, steps=comm.recorded)
 
 
 def profile_step(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.des.simulator import Signal
 
 
@@ -32,12 +30,6 @@ class Request:
     @property
     def done(self) -> bool:
         return self.done_signal.fired
-
-    @property
-    def completion_value(self) -> Any:
-        if not self.done:
-            raise RuntimeError("request not complete")
-        return self.done_signal.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "pending"

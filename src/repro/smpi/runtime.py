@@ -101,10 +101,6 @@ class MpiJob:
         """Sum a hardware counter over all ranks."""
         return sum(s.counters[name] for s in self.stats)
 
-    def total_time_in(self, kind: str) -> float:
-        """Sum time spent in one call kind over all ranks."""
-        return sum(s.time_by_kind.get(kind, 0.0) for s in self.stats)
-
     def mpi_fraction(self) -> float:
         """Aggregate fraction of rank-time spent inside MPI."""
         total = sum(s.total_time for s in self.stats)

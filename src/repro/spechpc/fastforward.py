@@ -30,42 +30,48 @@ synchronized tier here (every step ends in a full-communicator
 collective, so all ranks cross each boundary at one instant) and the
 wavefront tier of :mod:`repro.spechpc.wavefront` (skewed boundaries).
 
-* boundaries 0 and 1: every rank notes its clock and a copy of its
-  ``RankStats``.  The engine simulates steps 0 and 1 with no
-  instrumentation at all.
-* boundary 2 (PARK): every rank parks on the decision signal.  The last
-  arrival dry-runs every rank's body for one step with the Tier-A
-  profiler (:func:`~repro.predict.profile.profile_rank`) and lowers the
-  recorded ops to the replay journal (:func:`lower_step`), priced with
-  the communicator's own expressions.  A body the dry run cannot follow
+* boundary 0: every rank notes its clock and a copy of its
+  ``RankStats``.  The engine simulates step 0 with no instrumentation
+  at all.
+* boundary 1 (PARK): every rank notes its clock and parks on the
+  decision signal.  The last arrival dry-runs every rank's body for
+  **two** steps with the Tier-A profiler
+  (:func:`~repro.predict.profile.profile_rank`) and lowers each recorded
+  step to a replay journal (:func:`lower_step`), priced with the
+  communicator's own expressions.  A body the dry run cannot follow
   (wildcard receives, payload-carrying sends, data reductions, reading
-  the clock, waits on requests from before the step) declines.  Then it
-  chooses the synchronized tier when its boundaries are synchronized,
-  else a compiled :class:`~repro.spechpc.wavefront.WavefrontProgram`,
-  verifies quiescence (mailboxes empty, no pending events), and
-  **validates by observation**: the scalar :class:`Replayer` must
-  reproduce step 1's clocks, and the tier's own replay of the one
-  journal, started from boundary 0's clocks and statistics, must land
-  bitwise on boundary 1's, and from boundary 1 on boundary 2's —
-  clocks, every ``time_by_kind`` entry and every counter.  Then it
-  replays the remaining ``sim_steps - 2`` steps, applying per-rank
+  the clock, waits on requests from before the step) declines; so does
+  a rank whose two lowered steps differ — that equality is the
+  periodicity proof.  Then it chooses the synchronized tier when its
+  boundaries are synchronized, else a compiled
+  :class:`~repro.spechpc.wavefront.WavefrontProgram`, verifies
+  quiescence (mailboxes empty, no pending events), and **validates by
+  observation**: the scalar :class:`Replayer` must reproduce step 0's
+  clocks, and the tier's own replay of the journal, started from
+  boundary 0's clocks and statistics, must land bitwise on boundary
+  1's — clocks, every ``time_by_kind`` entry and every counter.  Then
+  it replays the remaining ``sim_steps - 1`` steps, applying per-rank
   statistics directly, and fires the signal with every rank's final
   clock; ranks land on it and their bodies finish.
 
-The dry run happens after the engine finished steps 0–1 on every rank,
-so it only retraces control flow that already terminated.
+The dry run happens after the engine finished step 0 on every rank, so
+its first step only retraces control flow that already terminated, and
+its second runs what the engine's step 1 would run.  The one gap: a
+body that behaves differently under the engine than under the dry run,
+and only from step 1 on, is no longer observed (no shipped body
+inspects its communicator's type).
 
 A decline at PARK — no tier applies, or a check fails — has one exit:
 the last rank raises a private exception that carries the ``(code,
 reason)`` pair and stops the DES world with no further step simulated;
 :func:`~repro.harness.runner.run` re-executes the job with both tiers
 off (recording ``declined.<code>``), so a decline yields the full-DES
-answer by construction and pays the 2-step prologue twice.
+answer by construction and pays the one-step prologue twice.
 
 Fidelity is forced (the controller is never created) for runs with
 noise, fault injection, tracing, invariant checking, schedule
-perturbation, fewer than three steps, or both tiers off.  The shared
-gating lives in :func:`replay_ineligibility`.
+perturbation, fewer than three steps (two left to replay), or both
+tiers off.  The shared gating lives in :func:`replay_ineligibility`.
 """
 
 from __future__ import annotations
@@ -123,8 +129,9 @@ def replay_ineligibility(
         return ("invariants", "invariant checking observes every event")
     if perturb_seed is not None:
         return ("perturb", "schedule perturbation forbids fixed tie-breaks")
-    if sim_steps < ReplayController.PARK + 1:
-        return ("steps", "no steps left after the recording prologue")
+    if sim_steps < ReplayController.PARK + 2:
+        return ("steps", "fewer than two steps left after the one-step "
+                "prologue")
     return None
 
 
@@ -824,7 +831,7 @@ class ReplayController:
 
     #: boundary index at which every rank parks; boundaries before it
     #: are observed (clocks and statistics), steps before it simulated
-    PARK = 2
+    PARK = 1
 
     def __init__(self, runtime: "MpiRuntime", body: Callable, sim_steps: int,
                  fast_forward: bool = True, wavefront: bool = True) -> None:
@@ -837,8 +844,8 @@ class ReplayController:
         #: boundary index -> per-rank clock, rank-indexed so skewed
         #: wavefront boundaries keep their per-rank identity
         self._clocks = [[0.0] * n for _ in range(self.PARK + 1)]
-        #: boundary index -> per-rank ``RankStats`` copy (before PARK)
-        self._stats: list[list] = [[None] * n for _ in range(self.PARK)]
+        #: per-rank ``RankStats`` copy at boundary 0
+        self._stats0: list = [None] * n
         self._parked = 0
         self._park_signal = Signal("replay-decision")
         #: per-rank step journal (set by the dry run at PARK)
@@ -862,7 +869,7 @@ class ReplayController:
         rank = comm.rank
         self._clocks[idx][rank] = rt.sim.now
         if idx < self.PARK:
-            self._stats[idx][rank] = _stats_copy(rt.stats[rank])
+            self._stats0[rank] = _stats_copy(rt.stats[rank])
             return None
         self._parked += 1
         if self._parked == self.nprocs:
@@ -872,9 +879,10 @@ class ReplayController:
     # --- decision ----------------------------------------------------------
 
     def _record(self) -> Optional[tuple[str, str]]:
-        """Dry-run every rank's body for one step and lower it to the
-        step journal; returns the ``unsupported-op`` decline if the dry
-        run cannot follow a body."""
+        """Dry-run every rank's body for two steps and lower step 0 to
+        the step journal; returns the ``unsupported-op`` decline if the
+        dry run cannot follow a body, and the ``validation`` decline if
+        a rank's two lowered steps differ (the periodicity proof)."""
         # taken, not kept: the body closes over the run context, which
         # holds this controller, and a finished run must stay acyclic
         body, self.body = self.body, None
@@ -883,10 +891,13 @@ class ReplayController:
         journals = []
         for r in range(self.nprocs):
             try:
-                ops = profile_rank(body, self.nprocs, r).ops
-                journals.append(lower_step(ops, r, rt, prices))
+                steps = profile_rank(body, self.nprocs, r, nsteps=2).steps
+                j0, j1 = (lower_step(ops, r, rt, prices) for ops in steps)
             except ProfileUnsupported as exc:
                 return ("unsupported-op", f"unsupported op: rank {r}: {exc}")
+            if j0 != j1:
+                return ("validation", f"rank {r}: dry-run steps 0 and 1 differ")
+            journals.append(j0)
         self.journals = journals
         return None
 
@@ -947,21 +958,21 @@ class ReplayController:
         raise _ParkDeclined(declined)
 
     def _commit(self) -> list[float]:
-        """Check quiescence, validate the journal against both observed
-        steps, and replay the remaining steps on the chosen tier."""
+        """Check quiescence, validate the journal against the observed
+        step 0, and replay the remaining steps on the chosen tier."""
         rt = self.runtime
         n = self.nprocs
         journals = self.journals
-        b0, b1, b2 = self._clocks
+        b0, b1 = self._clocks
         prog = self.program
         remaining = self.sim_steps - self.PARK
         if not all(m.idle() for m in rt.mailboxes):
             raise ReplayUnsupported("in-flight messages at the boundary")
         if rt.sim._heap or rt.sim._runq:
             raise ReplayUnsupported("pending events at the boundary")
-        # the scalar cross-check: step 1 replayed on the scalar replayer
+        # the scalar cross-check: step 0 replayed on the scalar replayer
         # must land every rank bitwise on its observed PARK clock
-        if Replayer(journals, n).run(b1, 1) != b2:
+        if Replayer(journals, n).run(b0, 1) != b1:
             raise ReplayUnsupported(
                 "validation failed: scalar replay does not reproduce "
                 "the simulated boundary clocks"
@@ -977,19 +988,16 @@ class ReplayController:
                 return Replayer(journals, n, stats=stats).run(t, nsteps)
         else:
             replay = prog.run
-        # validation by observation: the tier's replay of the one journal
-        # from each observed boundary's clocks and statistics must land
-        # bitwise on the next boundary's, clocks and statistics alike
-        stats = [_stats_copy(s) for s in self._stats[0]]
-        for k, (t0, t1, seen) in enumerate(
-            ((b0, b1, self._stats[1]), (b1, b2, rt.stats))
-        ):
-            if replay(t0, 1, stats) != t1 or not _same_stats(stats, seen):
-                raise ReplayUnsupported(
-                    f"validation failed: {self.mode} replay of step {k} "
-                    f"does not reproduce boundary {k + 1}"
-                )
-        finals = replay(b2, remaining, rt.stats)
+        # validation by observation: the tier's replay of the journal
+        # from boundary 0's clocks and statistics must land bitwise on
+        # boundary 1's, clocks and statistics alike
+        stats = self._stats0
+        if replay(b0, 1, stats) != b1 or not _same_stats(stats, rt.stats):
+            raise ReplayUnsupported(
+                f"validation failed: {self.mode} replay of step 0 "
+                "does not reproduce boundary 1"
+            )
+        finals = replay(b1, remaining, rt.stats)
         self.engaged = True
         self.levels = (
             prog.nlevels if self.mode == "wavefront"

@@ -48,12 +48,6 @@ class PolymerSystem:
 
     # --- energetics --------------------------------------------------------
 
-    def bond_energy(self, pos: np.ndarray | None = None) -> float:
-        """Harmonic bond energy sum over all chains."""
-        p = self.pos if pos is None else pos
-        bonds = np.diff(p, axis=1)
-        return float(0.5 * self.bond_k * (bonds**2).sum())
-
     def mean_squared_bond(self) -> float:
         bonds = np.diff(self.pos, axis=1)
         return float((bonds**2).sum(axis=-1).mean())

@@ -10,14 +10,14 @@ ripple (Sect. 4.1.5) keeps the pipeline *skewed* — rank clocks at a step
 boundary differ by design.  This module holds the second replay tier,
 for exactly that shape: the compiled program the
 :class:`~repro.spechpc.fastforward.ReplayController` chooses at the PARK
-boundary (boundary 2) when the synchronized tier declines (or is
+boundary (boundary 1) when the synchronized tier declines (or is
 switched off).
 
 How it works
 ------------
-The protocol is the controller's (steps 0 and 1 simulated and
-observed, one dry-run step journal built at the PARK boundary, both
-observed steps validated).  What differs is the replay:
+The protocol is the controller's (step 0 simulated and observed, a
+two-step dry run at the PARK boundary whose lowered steps must be equal,
+the observed step validated).  What differs is the replay:
 
 * **DAG compilation** — the per-rank op journals are compiled *once* into
   a dependency DAG over their send/receive *post nodes*: each op depends
@@ -47,9 +47,9 @@ time is computed by the engine's own expressions (``_wait_step``, the
 left-associated rendezvous sum) — **no** max-plus path-weight
 precomputation, which would re-associate the adds and drift by ulps.
 Before committing, the compiled program must reproduce the engine's own
-observed steps 0 and 1 bitwise (each from one boundary's clocks and
-statistics to the next boundary's), and the scalar
-:class:`~repro.spechpc.fastforward.Replayer` is cross-checked on step 1's
+observed step 0 bitwise (from boundary 0's clocks and statistics to
+boundary 1's), and the scalar
+:class:`~repro.spechpc.fastforward.Replayer` is cross-checked on step 0's
 clocks.  A failure there stops the parked world and the
 harness re-runs the job in full DES, so a decline is exact too.
 """

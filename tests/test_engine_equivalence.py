@@ -172,15 +172,15 @@ def test_reference_flags_independently_bit_identical(flags):
 )
 def test_fast_forward_forced_off(kwargs):
     """Anything that perturbs or observes individual steps forces full
-    event-level fidelity, and so does a run with no step left after the
-    2-step prologue."""
+    event-level fidelity, and so does a run with fewer than two steps
+    left after the one-step prologue."""
     kwargs.setdefault("sim_steps", 8)
     r = run(get_benchmark("lbm"), CLUSTER_A, 12, **kwargs)
     assert r.meta["fast_forward"] is False
 
 
 def test_fast_forward_engages_at_three_steps():
-    """Three steps leave one step after the 2-step prologue: the tier
+    """Three steps leave two steps after the one-step prologue: the tier
     engages and the result is bit-identical to full simulation."""
     bench = get_benchmark("lbm")
     fast = run(bench, CLUSTER_A, 12, sim_steps=3)
@@ -189,13 +189,13 @@ def test_fast_forward_engages_at_three_steps():
     assert fingerprint(fast) == fingerprint(ref)
 
 
-def test_prologue_simulates_two_steps():
-    """An engaged run simulates only steps 0 and 1 in the event engine:
-    at 8 steps it processes fewer engine events than a full-DES run of
-    3 steps."""
+def test_prologue_simulates_one_step():
+    """An engaged run simulates only step 0 in the event engine: at 8
+    steps it processes fewer engine events than a full-DES run of 2
+    steps."""
     bench = get_benchmark("lbm")
     engaged = run(bench, CLUSTER_A, 12, sim_steps=8)
-    off = run(bench, CLUSTER_A, 12, sim_steps=3,
+    off = run(bench, CLUSTER_A, 12, sim_steps=2,
               fast_forward=False, wavefront=False)
     assert engaged.meta["fast_forward"] is True
     events = engaged.meta["metrics"]["engine"]["events"]

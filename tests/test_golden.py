@@ -13,7 +13,9 @@ import os
 
 import pytest
 
-from repro.harness.runner import engine_run_count
+from repro.harness.runner import engine_run_count, run
+from repro.machine import CLUSTER_A
+from repro.spechpc import get_benchmark
 from repro.validate import golden as G
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -55,7 +57,7 @@ def test_golden_4node(case):
 
 
 def _census(case: G.GoldenCase) -> None:
-    """Runs of three or more steps engage a tier after the 2-step
+    """Runs of three or more steps engage a tier after the one-step
     prologue; shorter ones decline ``steps`` up front."""
     result, engine_runs = _run(case)
     tier = result.meta["metrics"]["wavefront"]
@@ -74,6 +76,22 @@ def test_tier_census_1node(case):
 @pytest.mark.parametrize("case", CASES_4NODE, ids=lambda c: c.slug)
 def test_tier_census_4node(case):
     _census(case)
+
+
+@pytest.mark.golden
+def test_hpgmgfv_A_4node_declines_validation():
+    """hpgmgfv on four ClusterA nodes: the scalar replay of the observed
+    step 0 misses the DES boundary on every rank, so even a 3-step run
+    declines ``validation`` at the one-step prologue and re-runs in full
+    DES — exactly the tiers-off answer."""
+    bench = get_benchmark("hpgmgfv")
+    ref = run(bench, CLUSTER_A, 288, sim_steps=3,
+              fast_forward=False, wavefront=False)
+    before = engine_run_count()
+    r = run(bench, CLUSTER_A, 288, sim_steps=3)
+    assert engine_run_count() - before == 2
+    assert r.meta["metrics"]["wavefront"] == {"declined.validation": 1.0}
+    assert G.fingerprint(r) == G.fingerprint(ref)
 
 
 def test_corpus_is_complete():

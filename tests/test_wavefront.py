@@ -251,7 +251,7 @@ def test_wavefront_declines(kwargs, code):
 
 
 def test_wavefront_engages_at_three_steps():
-    """Three steps leave one step after the 2-step prologue: the tier
+    """Three steps leave two steps after the one-step prologue: the tier
     engages and the result is bit-identical to full simulation."""
     bench = get_benchmark("minisweep")
     on = run(bench, CLUSTER_A, 8, sim_steps=3)
@@ -446,7 +446,8 @@ def test_lowering_rejects_what_replay_cannot_price(ops):
 class _Ring(Benchmark):
     """A 4-rank halo ring with a closing allreduce, bent by ``twist``:
     ``"flops"`` makes the dry run see other flop counts than the engine,
-    ``"step0"`` adds work to step 0 only, ``"now"`` reads the clock."""
+    ``"step0"`` adds work to step 0 only, ``"step1"`` to step 1 only,
+    ``"now"`` reads the clock."""
 
     info = BenchmarkInfo(
         name="ring", benchmark_id=0, language="C", loc=0,
@@ -473,7 +474,7 @@ class _Ring(Benchmark):
                 dry = not isinstance(comm, Communicator)
                 flops = 2e6 if twist == "flops" and dry else 1e6
                 yield comm.compute(1e-3 * (comm.rank + 1), flops=flops)
-                if twist == "step0" and step == 0:
+                if twist == f"step{step}":
                     yield comm.compute(5e-4)
                 if twist == "now" and comm.now < 0.0:
                     yield comm.compute(1.0)
@@ -497,14 +498,14 @@ def test_untwisted_ring_engages():
 @pytest.mark.parametrize(
     ("twist", "code"),
     [("flops", "validation"), ("step0", "validation"),
-     ("now", "unsupported-op")],
+     ("step1", "validation"), ("now", "unsupported-op")],
 )
 def test_journal_mismatch_declines_exactly(twist, code):
-    """The journal is trusted only by observation: a dry run whose step
-    differs from the engine's only in a counter (the clocks agree), a
-    body whose step 0 differs from its later steps, and a body the dry
-    run cannot follow all decline — and the re-run gives the tiers-off
-    answer."""
+    """The journal is trusted only by observation and the dry run's
+    periodicity proof: a dry run whose step differs from the engine's
+    only in a counter (the clocks agree), a body whose step 0 or step 1
+    differs from its other steps, and a body the dry run cannot follow
+    all decline — and the re-run gives the tiers-off answer."""
     bench = _Ring(twist)
     ref = run(bench, CLUSTER_A, 4, sim_steps=6,
               fast_forward=False, wavefront=False)
