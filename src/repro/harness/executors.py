@@ -56,11 +56,6 @@ class ExecutorCapabilities:
 
     #: runs points concurrently
     parallel: bool
-    #: specs run outside the calling process (so a wall-clock timeout is
-    #: enforceable by abandoning the stuck worker)
-    isolated: bool
-    #: workers may join/leave while the sweep is running
-    elastic: bool
     #: work crosses machine boundaries
     distributed: bool
     #: a timed-out point is retried (on another worker) instead of
@@ -177,8 +172,7 @@ class SerialExecutor(Executor):
 
     name = "serial"
     capabilities = ExecutorCapabilities(
-        parallel=False, isolated=False, elastic=False, distributed=False,
-        retries_timeouts=False,
+        parallel=False, distributed=False, retries_timeouts=False,
     )
     #: test seam — swap the pool class used for one-shot isolation
     pool_factory = staticmethod(ProcessPoolExecutor)
@@ -254,8 +248,7 @@ class LocalPoolExecutor(Executor):
 
     name = "local"
     capabilities = ExecutorCapabilities(
-        parallel=True, isolated=True, elastic=False, distributed=False,
-        retries_timeouts=False,
+        parallel=True, distributed=False, retries_timeouts=False,
     )
     #: test seam — swap the pool class (pool-death chaos tests)
     pool_factory = staticmethod(ProcessPoolExecutor)

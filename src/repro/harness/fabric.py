@@ -169,8 +169,7 @@ class FabricExecutor(Executor):
 
     name = "fabric"
     capabilities = ExecutorCapabilities(
-        parallel=True, isolated=True, elastic=True, distributed=True,
-        retries_timeouts=True,
+        parallel=True, distributed=True, retries_timeouts=True,
     )
 
     def __init__(

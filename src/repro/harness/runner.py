@@ -105,9 +105,10 @@ def run(
     fast_forward:
         Allow the synchronized replay tier (see
         :mod:`repro.spechpc.fastforward`): once a benchmark's step
-        structure is observed to be exactly periodic, remaining steps are
-        advanced analytically with bit-identical statistics.  Runs with
-        noise, faults, or tracing force full fidelity regardless.
+        structure is observed to be exactly periodic and its step
+        boundaries synchronized, remaining steps are advanced
+        analytically with bit-identical statistics.  Runs with noise,
+        faults, or tracing force full fidelity regardless.
     wavefront:
         Allow the wavefront replay tier (see
         :mod:`repro.spechpc.wavefront`): periodic steps whose boundaries
@@ -115,7 +116,11 @@ def run(
         pipelines — are compiled into a dependency DAG and advanced with
         vectorized level-set replay, bit-identical to full simulation.
         One :class:`~repro.spechpc.fastforward.ReplayController` drives
-        both tiers under the same gating;
+        both tiers under the same gating.  The tier follows the
+        boundary shape, the compiled program the journal shape: a
+        synchronized run whose journal is not column-uniform replays on
+        the same level-set program with ``wavefront=False`` too, and
+        still reports ``meta["wavefront"]`` false;
         ``fast_forward=False, wavefront=True`` forces the wavefront tier
         even for structures the synchronized tier could handle (the
         validation configuration).  The ranks park at the tier

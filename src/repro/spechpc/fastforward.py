@@ -42,17 +42,25 @@ wavefront tier of :mod:`repro.spechpc.wavefront` (skewed boundaries).
   (wildcard receives, payload-carrying sends, data reductions, reading
   the clock, waits on requests from before the step) declines; so does
   a rank whose two lowered steps differ — that equality is the
-  periodicity proof.  Then it chooses the synchronized tier when its
-  boundaries are synchronized, else a compiled
-  :class:`~repro.spechpc.wavefront.WavefrontProgram`, verifies
-  quiescence (mailboxes empty, no pending events), and **validates by
+  periodicity proof.  Then it picks the **tier by boundary shape** and
+  the **program by journal shape**: the synchronized tier when every
+  step ends in a full-communicator collective and all ranks cross the
+  boundary at one instant, else the wavefront tier; a column-uniform
+  journal on the synchronized tier compiles to :class:`VectorReplayer`,
+  every other journal to a
+  :class:`~repro.spechpc.wavefront.WavefrontProgram`.  It verifies
+  quiescence (mailboxes empty, no pending events) and **validates by
   observation**: the scalar :class:`Replayer` must reproduce step 0's
-  clocks, and the tier's own replay of the journal, started from
+  clocks, and the program's replay of the journal, started from
   boundary 0's clocks and statistics, must land bitwise on boundary
   1's — clocks, every ``time_by_kind`` entry and every counter.  Then
-  it replays the remaining ``sim_steps - 1`` steps, applying per-rank
-  statistics directly, and fires the signal with every rank's final
-  clock; ranks land on it and their bodies finish.
+  the program replays the remaining ``sim_steps - 1`` steps, applying
+  per-rank statistics directly, and fires the signal with every rank's
+  final clock; ranks land on it and their bodies finish.
+
+The scalar :class:`Replayer` is the one-step clock cross-check and the
+test reference: in production it replays exactly one step per engaged
+run and keeps no statistics.
 
 The dry run happens after the engine finished step 0 on every rank, so
 its first step only retraces control flow that already terminated, and
@@ -246,14 +254,13 @@ def lower_step(ops: list, rank: int, runtime: "MpiRuntime",
 # --------------------------------------------------------------------------
 
 class _ReplayRank:
-    __slots__ = ("ops", "pos", "t", "reqs", "t0", "stage")
+    __slots__ = ("ops", "pos", "t", "reqs", "stage")
 
     def __init__(self, ops: list, t: float) -> None:
         self.ops = ops
         self.pos = 0
         self.t = t
         self.reqs: dict[int, tuple] = {}
-        self.t0 = 0.0       # pending call-entry time (waits)
         self.stage = 0      # srwait progress (0 = send leg, 1 = recv leg)
 
 
@@ -268,17 +275,17 @@ def _wait_step(t: float, fire_t: float, fin: float) -> float:
 
 
 class Replayer:
-    """Executes the recorded steady-state step N times in pure Python.
+    """Executes the recorded steady-state step in pure Python, one rank
+    and one op at a time, clocks only.
 
-    ``stats=None`` replays times only (the clock cross-check); with the
-    runtime's ``RankStats`` list it also applies every statistics update
-    in per-rank program order, exactly as the communicator would."""
+    The reference the compiled programs answer to: the controller runs
+    it for one step as the clock cross-check of every engaged run, and
+    the tests replay journals on it against :class:`VectorReplayer` and
+    :class:`~repro.spechpc.wavefront.WavefrontProgram`."""
 
-    def __init__(self, journals: list[list], nprocs: int,
-                 stats: Optional[list] = None) -> None:
+    def __init__(self, journals: list[list], nprocs: int) -> None:
         self.journals = journals
         self.nprocs = nprocs
-        self.stats = stats
 
     def run(
         self, t_start: Union[float, Sequence[float]], nsteps: int
@@ -329,33 +336,15 @@ class Replayer:
     def _advance_rank(self, r: int, rr: _ReplayRank, matches, gates) -> bool:
         """Run rank ``r`` until it blocks or exhausts its ops; returns
         True if at least one op completed."""
-        stats = None if self.stats is None else self.stats[r]
         ops = rr.ops
         moved = False
         while rr.pos < len(ops):
             op = ops[rr.pos]
             code = op[0]
             if code == "compute":
-                (_, seconds, flops, simd, mem, l3, l2, busy, heat_s, heat_b) = op
-                rr.t = rr.t + seconds
-                if stats is not None:
-                    tbk = stats.time_by_kind
-                    tbk["compute"] = tbk.get("compute", 0.0) + seconds
-                    c = stats.counters
-                    c["flops"] += flops
-                    c["simd_flops"] += simd
-                    c["mem_bytes"] += mem
-                    c["l3_bytes"] += l3
-                    c["l2_bytes"] += l2
-                    c["busy_seconds"] += busy
-                    c["heat_seconds"] += heat_s
-                    c["heat_busy_seconds"] += heat_b
+                rr.t = rr.t + op[1]
             elif code == "isend":
-                _, hid, dest, tag, nbytes, params = op
-                if stats is not None:
-                    c = stats.counters
-                    c["messages"] += 1
-                    c["msg_bytes"] += nbytes
+                _, hid, dest, tag, _, params = op
                 key = (dest, r, tag)
                 entry = matches.setdefault(key, [[], []])
                 ordinal = len(entry[1])
@@ -374,19 +363,14 @@ class Replayer:
                 entry[0].append(rr.t)
                 rr.reqs[hid] = ("recv", key, ordinal)
             elif code == "wait":
-                _, hid, kind = op
-                resolved = self._resolve(rr, matches, rr.reqs[hid])
+                resolved = self._resolve(rr, matches, rr.reqs[op[1]])
                 if resolved is None:
                     return moved  # blocked on the peer's side of the match
                 fin, fire_t = resolved
-                t0 = rr.t
                 rr.t = _wait_step(rr.t, fire_t, fin)
-                if stats is not None and rr.t > t0:
-                    stats.add_time(kind, rr.t - t0)
             elif code == "srwait":
                 _, shid, rhid = op
                 if rr.stage == 0:
-                    rr.t0 = rr.t
                     resolved = self._resolve(rr, matches, rr.reqs[shid])
                     if resolved is None:
                         return moved
@@ -399,16 +383,11 @@ class Replayer:
                 fin, fire_t = resolved
                 rr.t = _wait_step(rr.t, fire_t, fin)
                 rr.stage = 0
-                if stats is not None and rr.t > rr.t0:
-                    stats.add_time("MPI_Sendrecv", rr.t - rr.t0)
             elif code == "coll":
-                _, kind, seq, cost, nbytes = op
-                gkey = (kind, seq)
-                gate = gates.setdefault(gkey, [{}, 0.0, None])
+                _, kind, seq, cost, _ = op
+                gate = gates.setdefault((kind, seq), [{}, 0.0, None])
                 arrivals = gate[0]
                 if r not in arrivals:
-                    if stats is not None and nbytes is not None:
-                        stats.add_counters(messages=1, msg_bytes=nbytes)
                     arrivals[r] = rr.t
                     gate[1] = max(gate[1], cost)
                 if len(arrivals) < self.nprocs:
@@ -419,10 +398,7 @@ class Replayer:
                     t_fire = max(arrivals.values())
                     gate[2] = (t_fire, t_fire + gate[1])
                 t_fire, finish = gate[2]
-                t0 = arrivals[r]
-                rr.t = _wait_step(t0, t_fire, finish)
-                if stats is not None and rr.t > t0:
-                    stats.add_time(kind, rr.t - t0)
+                rr.t = _wait_step(arrivals[r], t_fire, finish)
             else:
                 raise ReplayUnsupported(f"unsupported op {code!r}")
             rr.pos += 1
@@ -506,36 +482,36 @@ class VectorReplayer:
     may differ — they become gather indices), and all referenced columns
     precede the consuming column (so column order is a valid schedule).
     Stencil benchmarks on periodic grids (lbm's torus) satisfy this;
-    anything else returns ``None`` from :meth:`compile` and the scalar
-    :class:`Replayer` is used instead.
+    for anything else :meth:`compile` raises :class:`ReplayUnsupported`
+    and the synchronized tier replays on a
+    :class:`~repro.spechpc.wavefront.WavefrontProgram` instead (the
+    program follows the journal shape, the tier the boundary shape).
 
     Bit-identity: numpy float64 elementwise ``+``/``-``/``maximum``/
     ``where`` are the same IEEE-754 double operations the scalar engine
     performs, applied to the same operands in the same per-rank order,
     so the results (clocks, statistics, counters) are bitwise equal.
-    The controller still cross-checks the compiled program against the
-    scalar replayer on the observed validation step before trusting it.
+    The controller still checks the compiled program against the
+    observed step 0, and the scalar replayer against its clocks,
+    before trusting it.
     """
 
     def __init__(self, program: list, nprocs: int, ncols: int) -> None:
         self._program = program
         self.nprocs = nprocs
-        self._ncols = ncols
+        #: replay depth: one level per op column
+        self.nlevels = ncols
 
     # --- compilation --------------------------------------------------------
 
     @classmethod
-    def compile(cls, journals: list[list], nprocs: int) -> Optional["VectorReplayer"]:
-        try:
-            return cls._compile(journals, nprocs)
-        except _NotUniform:
-            return None
-
-    @classmethod
-    def _compile(cls, journals, nprocs):
+    def compile(cls, journals: list[list], nprocs: int) -> "VectorReplayer":
+        """Build the column program for one journaled step, or raise
+        :class:`ReplayUnsupported` when the journals are not
+        column-uniform."""
         ncols = len(journals[0])
         if any(len(j) != ncols for j in journals):
-            raise _NotUniform
+            raise ReplayUnsupported("vector: journal lengths differ")
 
         # per-rank request bookkeeping: hid -> (column, code), plus the
         # per-key FIFO column lists both sides of a match pair against
@@ -562,7 +538,9 @@ class VectorReplayer:
             first = values[0]
             for v in values:
                 if v != first:
-                    raise _NotUniform
+                    raise ReplayUnsupported(
+                        f"vector: column not uniform ({first!r} vs {v!r})"
+                    )
             return first
 
         def farr(col_vals):
@@ -582,12 +560,12 @@ class VectorReplayer:
                 k = send_ord[r][c]
                 posts = recv_cols[dest].get((r, tag))
                 if posts is None or len(posts) <= k:
-                    raise _NotUniform
+                    raise ReplayUnsupported("vector: send without a receive")
                 pcols.append(posts[k])
                 peers.append(dest)
             pcol = uniform(pcols)
             if pcol >= j or c >= j:
-                raise _NotUniform
+                raise ReplayUnsupported("vector: wait precedes its match")
             p = [journals[r][c][5] for r in range(nprocs)]
             return (
                 "sendr", c, pcol, np.array(peers),
@@ -604,12 +582,12 @@ class VectorReplayer:
                 k = recv_ord[r][c]
                 sends = send_cols[src].get((r, tag))
                 if sends is None or len(sends) <= k:
-                    raise _NotUniform
+                    raise ReplayUnsupported("vector: receive without a send")
                 scols.append(sends[k])
                 peers.append(src)
             scol = uniform(scols)
             if scol >= j or c >= j:
-                raise _NotUniform
+                raise ReplayUnsupported("vector: wait precedes its match")
             peer = np.array(peers)
             mode = uniform([journals[r][scol][5][0] for r in range(nprocs)])
             # sender-side params, pre-gathered per receiving rank
@@ -625,7 +603,7 @@ class VectorReplayer:
         def resolver(j, hid_col):
             srcs = [hid_src[r].get(hid_col[r]) for r in range(nprocs)]
             if any(s is None for s in srcs):
-                raise _NotUniform
+                raise ReplayUnsupported("vector: wait on an unknown request")
             c = uniform([s[0] for s in srcs])
             code = uniform([s[1] for s in srcs])
             if code == "isend":
@@ -669,7 +647,7 @@ class VectorReplayer:
                 # the scalar gate maxes costs starting from 0.0
                 program.append(("coll", kind, max([0.0] + costs), nbytes))
             else:
-                raise _NotUniform
+                raise ReplayUnsupported(f"vector: unsupported op {code!r}")
         return cls(program, nprocs, ncols)
 
     # --- execution ----------------------------------------------------------
@@ -682,7 +660,7 @@ class VectorReplayer:
     ) -> list[float]:
         """Replay ``nsteps`` steps from one synchronized or per-rank
         start clock(s); with ``stats`` also lands every statistics
-        update exactly as the scalar replayer would."""
+        update exactly as the communicator would."""
         n = self.nprocs
         t = np.empty(n, dtype=np.float64)
         t[:] = t_start
@@ -699,8 +677,8 @@ class VectorReplayer:
                 # compute adds unconditionally, so the key always appears
                 touched["compute"][:] = True
         maximum, where = np.maximum, np.where
-        S: list = [None] * self._ncols
-        A: list = [None] * self._ncols
+        S: list = [None] * self.nlevels
+        A: list = [None] * self.nlevels
 
         def resolve(res):
             """(fin, fire) arrays of one resolver."""
@@ -782,10 +760,6 @@ class VectorReplayer:
         return t.tolist()
 
 
-class _NotUniform(Exception):
-    """Journals are not column-uniform; compile returns None."""
-
-
 # --------------------------------------------------------------------------
 # controller + step loop
 # --------------------------------------------------------------------------
@@ -826,7 +800,14 @@ class ReplayController:
     launched; the PARK boundary dry-runs it for the step journal.
     ``fast_forward`` allows the synchronized tier, ``wavefront`` the
     wavefront tier (:mod:`repro.spechpc.wavefront`); when both are on,
-    the synchronized tier is tried first.
+    the synchronized tier is tried first.  The tier follows the
+    boundary shape, the compiled program the journal shape: a
+    column-uniform journal on the synchronized tier replays on
+    :class:`VectorReplayer`, every other journal on a
+    :class:`~repro.spechpc.wavefront.WavefrontProgram`.  Both programs
+    share one protocol — ``compile`` raises :class:`ReplayUnsupported`,
+    ``run(t_start, nsteps, stats)`` replays, ``nlevels`` is the replay
+    depth reported as ``wavefront.levels``.
     """
 
     #: boundary index at which every rank parks; boundaries before it
@@ -852,11 +833,12 @@ class ReplayController:
         self.journals: Optional[list[list]] = None
         #: "sync" | "wavefront" once the PARK boundary chose a tier
         self.mode: Optional[str] = None
-        #: the wavefront tier's compiled program
+        #: the wavefront tier's compiled program (the synchronized tier
+        #: compiles its own at commit)
         self.program = None
         self.engaged = False
-        #: replay depth and analytically-skipped op count, set on commit
-        #: (the sync tier reports its column count as depth)
+        #: the program's replay depth and the analytically-skipped op
+        #: count, set on commit
         self.levels = 0
         self.events_saved = 0
 
@@ -942,6 +924,24 @@ class ReplayController:
         self.mode = "wavefront"
         return None
 
+    def _sync_program(self):
+        """The synchronized tier's compiled program: a column-uniform
+        journal replays on :class:`VectorReplayer`, any other on a
+        :class:`~repro.spechpc.wavefront.WavefrontProgram`.  A journal
+        neither compiles stops the world with the ``structure``
+        decline."""
+        from repro.spechpc.wavefront import WavefrontProgram  # import cycle
+
+        try:
+            return VectorReplayer.compile(self.journals, self.nprocs)
+        except ReplayUnsupported as exc:
+            why = str(exc)
+        try:
+            return WavefrontProgram.compile(self.journals, self.nprocs)
+        except ReplayUnsupported as exc:
+            declined = ("structure", f"{why}; {exc}")
+        raise _ParkDeclined(declined)
+
     # --- engagement ---------------------------------------------------------
 
     def _execute(self) -> list[float]:
@@ -959,7 +959,8 @@ class ReplayController:
 
     def _commit(self) -> list[float]:
         """Check quiescence, validate the journal against the observed
-        step 0, and replay the remaining steps on the chosen tier."""
+        step 0, and replay the remaining steps on the chosen tier's
+        compiled program."""
         rt = self.runtime
         n = self.nprocs
         journals = self.journals
@@ -979,30 +980,20 @@ class ReplayController:
             )
         if prog is None:
             # the sync tier compiles only here, where neither the DES
-            # step nor the scalar check holds memory (peak RSS):
-            # column-uniform structures replay vectorized across ranks,
-            # anything else on the scalar replayer
-            prog = VectorReplayer.compile(journals, n)
-        if prog is None:
-            def replay(t, nsteps, stats):
-                return Replayer(journals, n, stats=stats).run(t, nsteps)
-        else:
-            replay = prog.run
-        # validation by observation: the tier's replay of the journal
+            # step nor the scalar check holds memory (peak RSS)
+            prog = self._sync_program()
+        # validation by observation: the program's replay of the journal
         # from boundary 0's clocks and statistics must land bitwise on
         # boundary 1's, clocks and statistics alike
         stats = self._stats0
-        if replay(b0, 1, stats) != b1 or not _same_stats(stats, rt.stats):
+        if prog.run(b0, 1, stats) != b1 or not _same_stats(stats, rt.stats):
             raise ReplayUnsupported(
                 f"validation failed: {self.mode} replay of step 0 "
                 "does not reproduce boundary 1"
             )
-        finals = replay(b1, remaining, rt.stats)
+        finals = prog.run(b1, remaining, rt.stats)
         self.engaged = True
-        self.levels = (
-            prog.nlevels if self.mode == "wavefront"
-            else max(len(j) for j in journals)
-        )
+        self.levels = prog.nlevels
         self.events_saved = remaining * sum(len(j) for j in journals)
         return finals
 

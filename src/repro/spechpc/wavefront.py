@@ -7,11 +7,15 @@ full-communicator collective and all ranks cross each boundary at one
 instant.  The paper's wavefront codes violate both: minisweep's KBA sweep
 has **no collective at all** (Table 1) and its rendezvous serialization
 ripple (Sect. 4.1.5) keeps the pipeline *skewed* — rank clocks at a step
-boundary differ by design.  This module holds the second replay tier,
-for exactly that shape: the compiled program the
-:class:`~repro.spechpc.fastforward.ReplayController` chooses at the PARK
-boundary (boundary 1) when the synchronized tier declines (or is
-switched off).
+boundary differ by design.  This module holds the program of the
+second replay tier, for exactly that shape: the
+:class:`~repro.spechpc.fastforward.ReplayController` compiles it at the
+PARK boundary (boundary 1) when the synchronized tier declines (or is
+switched off).  The tier follows the boundary shape and the program the
+journal shape, so the synchronized tier replays on this program too
+whenever its journal is not column-uniform
+(:class:`~repro.spechpc.fastforward.VectorReplayer` rejects it):
+tealeaf, cloverleaf, pot3d, sph-exa and hpgmgfv at multi-rank scale.
 
 How it works
 ------------
@@ -49,9 +53,10 @@ precomputation, which would re-associate the adds and drift by ulps.
 Before committing, the compiled program must reproduce the engine's own
 observed step 0 bitwise (from boundary 0's clocks and statistics to
 boundary 1's), and the scalar
-:class:`~repro.spechpc.fastforward.Replayer` is cross-checked on step 0's
-clocks.  A failure there stops the parked world and the
-harness re-runs the job in full DES, so a decline is exact too.
+:class:`~repro.spechpc.fastforward.Replayer` — the one-step clock
+cross-check and the test reference — is checked on step 0's clocks.
+A failure there stops the parked world and the harness re-runs the job
+in full DES, so a decline is exact too.
 """
 
 from __future__ import annotations
@@ -388,7 +393,7 @@ class WavefrontProgram:
     ) -> list[float]:
         """Replay ``nsteps`` steps from per-rank (or one synchronized)
         start clock(s); with ``stats`` also lands every statistics update
-        exactly as the scalar replayer would."""
+        exactly as the communicator would."""
         n = self.nprocs
         if isinstance(t_start, (int, float)):
             t = np.full(n, float(t_start), dtype=np.float64)

@@ -53,10 +53,10 @@ def test_capability_flags_state_the_contract():
     s = SerialExecutor.capabilities
     assert not s.parallel and not s.distributed and not s.retries_timeouts
     l = LocalPoolExecutor.capabilities
-    assert l.parallel and l.isolated and not l.elastic and not l.distributed
+    assert l.parallel and not l.distributed
     assert not l.retries_timeouts  # timeout stays terminal, as before
     f = FabricExecutor.capabilities
-    assert f.parallel and f.isolated and f.elastic and f.distributed
+    assert f.parallel and f.distributed
     assert f.retries_timeouts  # there *is* another worker to retry on
 
 

@@ -1,7 +1,7 @@
 """Tests for the wavefront replay tier (precomputed KBA dependency DAG
 with vectorized level-set replay, :mod:`repro.spechpc.wavefront`).
 
-Six layers of evidence:
+Seven layers of evidence:
 
 * a hand-computed 3-rank DAG whose level-set clocks are derived inline
   with the engine's documented arithmetic and compared to the bit;
@@ -19,11 +19,17 @@ Six layers of evidence:
   with the tiers-off fingerprint;
 * the golden-corpus grid replayed with the tier *forced* on
   (``fast_forward=False`` leaves only the wavefront tier) against the
-  full-fidelity reference.
+  full-fidelity reference;
+* every code's recorded journal replayed on the scalar replayer (the
+  reference), the level-set program and the column program, and the
+  synchronized tier carrying non-uniform journals on the level-set
+  program.
 """
 
 from __future__ import annotations
 
+import copy
+import random
 from dataclasses import replace
 
 import pytest
@@ -44,8 +50,11 @@ from repro.smpi.comm import Communicator
 from repro.smpi.runtime import MpiRuntime
 from repro.spechpc import get_benchmark
 from repro.spechpc.base import Benchmark, BenchmarkInfo, RunContext, Workload
-from repro.spechpc.fastforward import Replayer, ReplayUnsupported, lower_step
+from repro.spechpc.fastforward import (
+    ReplayController, Replayer, ReplayUnsupported, VectorReplayer, lower_step,
+)
 from repro.spechpc.minisweep import Minisweep
+from repro.spechpc.suite import SUITE_ORDER
 from repro.spechpc.wavefront import WavefrontProgram
 from repro.validate.golden import fingerprint, golden_cases
 
@@ -278,22 +287,13 @@ def test_wavefront_engaged_metrics():
 
 
 def _fail_validation(monkeypatch):
-    """Make every 1-step validation replay (no stats) land 1 s late."""
-    program_run, scalar_run = WavefrontProgram.run, Replayer.run
-
-    def program(self, t_start, nsteps, stats=None):
-        clocks = program_run(self, t_start, nsteps, stats)
-        if nsteps == 1 and stats is None:
-            return [t + 1.0 for t in clocks]
-        return clocks
+    """Make the scalar cross-check (the one step the scalar replayer
+    replays) land 1 s late."""
+    scalar_run = Replayer.run
 
     def scalar(self, t_start, nsteps):
-        clocks = scalar_run(self, t_start, nsteps)
-        if nsteps == 1 and self.stats is None:
-            return [t + 1.0 for t in clocks]
-        return clocks
+        return [t + 1.0 for t in scalar_run(self, t_start, nsteps)]
 
-    monkeypatch.setattr(WavefrontProgram, "run", program)
     monkeypatch.setattr(Replayer, "run", scalar)
 
 
@@ -538,3 +538,103 @@ def test_golden_corpus_tier_forced_on(case):
     assert forced.meta["wavefront"] is True
     assert ref.meta["wavefront"] is False
     assert fingerprint(forced) == fingerprint(ref)
+
+
+# --------------------------------------------------------------------------
+# one step journal, three replayers
+# --------------------------------------------------------------------------
+
+
+def _recorded(name: str, cluster, nprocs: int):
+    """Every rank's step journal, dry-run and lowered by the controller
+    exactly as at the PARK boundary, plus the runtime's fresh stats."""
+    bench = get_benchmark(name)
+    ctx = RunContext(
+        cluster=cluster, nprocs=nprocs, workload=bench.workload("tiny"),
+        exec_model=ExecutionModel(cluster.node.cpu), sim_steps=8,
+    )
+    ctx.runtime = runtime = MpiRuntime(cluster, nprocs)
+    ctl = ReplayController(runtime, bench.make_body(ctx), 8)
+    assert ctl._record() is None
+    return ctl.journals, runtime.stats
+
+
+@pytest.mark.parametrize("cluster_name", ["A", "B"])
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_replayers_agree_on_recorded_journals(name, cluster_name):
+    """Every code's recorded journal, on one node and across two: the
+    scalar replayer, the level-set program and (where the journal is
+    column-uniform) the column program replay 1-3 steps from random
+    per-rank clocks to bitwise-equal clocks, and the two compiled
+    programs land bitwise-equal statistics."""
+    cluster = get_cluster(cluster_name)
+    rng = random.Random(f"{name}/{cluster_name}")
+    for nprocs in (4, 18, cluster.cores_per_node + 4):
+        journals, fresh = _recorded(name, cluster, nprocs)
+        starts = [rng.uniform(0.0, 1e-3) for _ in range(nprocs)]
+        nsteps = rng.randint(1, 3)
+        clocks = Replayer(journals, nprocs).run(starts, nsteps)
+
+        dag_stats = copy.deepcopy(fresh)
+        dag = WavefrontProgram.compile(journals, nprocs)
+        assert dag.run(starts, nsteps, dag_stats) == clocks, nprocs
+        try:
+            vec = VectorReplayer.compile(journals, nprocs)
+        except ReplayUnsupported:
+            continue
+        vec_stats = copy.deepcopy(fresh)
+        assert vec.run(starts, nsteps, vec_stats) == clocks, nprocs
+        assert all(
+            a.time_by_kind == b.time_by_kind and a.counters == b.counters
+            for a, b in zip(dag_stats, vec_stats)
+        ), nprocs
+
+
+@pytest.mark.parametrize(
+    "name", ["tealeaf", "cloverleaf", "pot3d", "sph-exa", "hpgmgfv"]
+)
+def test_sync_tier_replays_non_uniform_journals_on_the_dag(name, monkeypatch):
+    """Synchronized boundaries whose journals are not column-uniform
+    engage the synchronized tier on a level-set program; the scalar
+    replayer replays only the one-step clock cross-check."""
+    compiled, scalar_steps = [], []
+    dag_compile, scalar_run = WavefrontProgram.compile.__func__, Replayer.run
+
+    def spy_compile(cls, journals, nprocs):
+        compiled.append(dag_compile(cls, journals, nprocs))
+        return compiled[-1]
+
+    def spy_scalar(self, t_start, nsteps):
+        scalar_steps.append(nsteps)
+        return scalar_run(self, t_start, nsteps)
+
+    monkeypatch.setattr(WavefrontProgram, "compile", classmethod(spy_compile))
+    monkeypatch.setattr(Replayer, "run", spy_scalar)
+    bench = get_benchmark(name)
+    on = run(bench, CLUSTER_A, 72, sim_steps=8)
+    assert on.meta["fast_forward"] is True
+    assert on.meta["wavefront"] is False
+    assert len(compiled) == 1 and scalar_steps == [1]
+    assert on.meta["metrics"]["wavefront"]["levels"] == compiled[0].nlevels
+    monkeypatch.undo()
+    off = run(bench, CLUSTER_A, 72, sim_steps=8,
+              fast_forward=False, wavefront=False)
+    assert fingerprint(on) == fingerprint(off)
+
+
+def test_sync_journal_neither_program_compiles_declines_structure(monkeypatch):
+    """A synchronized-tier journal that neither compiled program accepts
+    declines ``structure`` and re-runs in full DES."""
+    def reject(cls, journals, nprocs):
+        raise ReplayUnsupported("rejected")
+
+    bench = get_benchmark("lbm")
+    ref = run(bench, CLUSTER_A, 8, sim_steps=8,
+              fast_forward=False, wavefront=False)
+    monkeypatch.setattr(VectorReplayer, "compile", classmethod(reject))
+    monkeypatch.setattr(WavefrontProgram, "compile", classmethod(reject))
+    before = engine_run_count()
+    r = run(bench, CLUSTER_A, 8, sim_steps=8)
+    assert engine_run_count() - before == 2
+    assert r.meta["metrics"]["wavefront"] == {"declined.structure": 1.0}
+    assert fingerprint(r) == fingerprint(ref)
