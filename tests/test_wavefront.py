@@ -1,10 +1,13 @@
 """Tests for the wavefront replay tier (precomputed KBA dependency DAG
 with vectorized level-set replay, :mod:`repro.spechpc.wavefront`).
 
-Seven layers of evidence:
+Eight layers of evidence:
 
-* a hand-computed 3-rank DAG whose level-set clocks are derived inline
-  with the engine's documented arithmetic and compared to the bit;
+* a hand-computed 3-rank DAG whose level-set clocks and statistics are
+  derived inline with the engine's documented arithmetic and compared
+  to the bit;
+* the floating-point identities the branch-free wait kernel relies on,
+  property-tested;
 * property-based minisweep configurations (rank count => chain length,
   block count, send/recv ordering) that must be fingerprint-identical
   with the tier on and off;
@@ -21,19 +24,21 @@ Seven layers of evidence:
   (``fast_forward=False`` leaves only the wavefront tier) against the
   full-fidelity reference;
 * every code's recorded journal replayed on the scalar replayer (the
-  reference), the level-set program and the column program, and the
+  reference), the level-set program and the column program, the
   synchronized tier carrying non-uniform journals on the level-set
-  program.
+  program, and twenty-step runs on both tiers against full DES.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan, SlowRank
@@ -47,11 +52,12 @@ from repro.predict.profile import (
 )
 from repro.smpi import collectives as coll
 from repro.smpi.comm import Communicator
-from repro.smpi.runtime import MpiRuntime
+from repro.smpi.runtime import COUNTER_NAMES, MpiRuntime, RankStats
 from repro.spechpc import get_benchmark
 from repro.spechpc.base import Benchmark, BenchmarkInfo, RunContext, Workload
 from repro.spechpc.fastforward import (
-    ReplayController, Replayer, ReplayUnsupported, VectorReplayer, lower_step,
+    ReplayController, Replayer, ReplayUnsupported, VectorReplayer, _wait_step,
+    lower_step,
 )
 from repro.spechpc.minisweep import Minisweep
 from repro.spechpc.suite import SUITE_ORDER
@@ -64,34 +70,51 @@ from repro.validate.golden import fingerprint, golden_cases
 # --------------------------------------------------------------------------
 
 # a 3-rank pipeline exercising every wait shape: an eager send 0 -> 1, a
-# rendezvous send 1 -> 2, and a closing full-communicator collective
-E_XF, E_OV = 0.5, 0.125                              # eager: transfer, overhead
+# rendezvous send 1 -> 2, an eager send 2 -> 0 whose wait completes
+# during rank 2's compute (a zero increment), and a closing
+# full-communicator collective
+E_XF, E_OV = 0.5, 0.1                                # eager: transfer, overhead
 R_RTS, R_HS, R_LAT, R_XF, R_OV = 0.03125, 0.0625, 0.03125, 2.0, 0.125
 C0, C1, C2 = 1.0, 2.0, 0.5                           # compute seconds
 COLL_COST = 0.25
 
+_COMPUTE = [
+    ("compute", C0, 10.0, 5.0, 100.0, 50.0, 25.0, 0.9, 0.8, 0.7),
+    ("compute", C1, 20.0, 9.0, 200.0, 80.0, 40.0, 1.8, 1.7, 1.6),
+    ("compute", C2, 5.0, 2.0, 50.0, 20.0, 10.0, 0.45, 0.4, 0.35),
+]
+
 _JOURNALS = [
-    [  # rank 0: compute, eager send to 1, wait, collective
-        ("compute", C0, 10.0, 5.0, 100.0, 50.0, 25.0, 0.9, 0.8, 0.7),
+    [  # rank 0: compute, eager send to 1, wait, recv from 2, collective
+        # (both waits of kind MPI_Wait: two increments of one kind a step)
+        _COMPUTE[0],
         ("isend", 11, 1, 0, 4096, ("e", E_XF, E_OV)),
         ("wait", 11, "MPI_Wait"),
+        ("irecv", 12, 2, 1),
+        ("wait", 12, "MPI_Wait"),
         ("coll", "MPI_Allreduce", 0, COLL_COST, 8.0),
     ],
     [  # rank 1: recv from 0, compute, rendezvous send to 2, collective
         ("irecv", 21, 0, 0),
-        ("compute", C1, 20.0, 9.0, 200.0, 80.0, 40.0, 1.8, 1.7, 1.6),
+        _COMPUTE[1],
         ("wait", 21, "MPI_Recv"),
         ("isend", 22, 2, 0, 65536, ("r", R_RTS, R_HS, R_LAT, R_XF, R_OV)),
         ("wait", 22, "MPI_Wait"),
         ("coll", "MPI_Allreduce", 0, COLL_COST, 8.0),
     ],
-    [  # rank 2: recv from 1, compute, collective
+    [  # rank 2: recv from 1, eager send to 0, compute, waits, collective
         ("irecv", 31, 1, 0),
-        ("compute", C2, 5.0, 2.0, 50.0, 20.0, 10.0, 0.45, 0.4, 0.35),
+        ("isend", 32, 0, 1, 1024, ("e", E_XF, E_OV)),
+        _COMPUTE[2],
+        ("wait", 32, "MPI_Wait"),
         ("wait", 31, "MPI_Recv"),
         ("coll", "MPI_Allreduce", 0, COLL_COST, 8.0),
     ],
 ]
+
+#: the compute counters in the order the communicator adds them
+_COUNTERS = ("flops", "simd_flops", "mem_bytes", "l3_bytes", "l2_bytes",
+             "busy_seconds", "heat_seconds", "heat_busy_seconds")
 
 
 def _ws(t: float, fire: float, fin: float) -> float:
@@ -102,56 +125,123 @@ def _ws(t: float, fire: float, fin: float) -> float:
     return resume + (fin - resume) if fin > resume else resume
 
 
-def _hand_step(t0: float, t1: float, t2: float) -> list[float]:
+class _Acc:
+    """One rank's statistics, updated as the communicator updates them:
+    a time kind only when the call took time, counters always."""
+
+    def __init__(self, time_by_kind: dict, counters: dict) -> None:
+        self.time_by_kind = dict(time_by_kind)
+        self.counters = dict(counters)
+
+    def compute(self, op: tuple) -> None:
+        tbk = self.time_by_kind
+        tbk["compute"] = tbk.get("compute", 0.0) + op[1]
+        for name, value in zip(_COUNTERS, op[2:]):
+            self.counters[name] += value
+
+    def message(self, nbytes: float) -> None:
+        self.counters["messages"] += 1
+        self.counters["msg_bytes"] += nbytes
+
+    def waited(self, kind: str, pre: float, post: float) -> float:
+        if post > pre:
+            self.time_by_kind[kind] = self.time_by_kind.get(kind, 0.0) + (
+                post - pre
+            )
+        return post
+
+
+def _hand_step(t: list, acc: list) -> list[float]:
     """One step of the pipeline above, computed scalar-by-scalar with
     the engine's exact expressions (left-associated sums, max-then-add
-    — never precomputed path weights)."""
+    — never precomputed path weights); ``acc`` takes every statistics
+    update in each rank's program order."""
+    t0, t1, t2 = t
+    s0, s1, s2 = acc
     # rank 0: compute, post the eager send (arrival = post + transfer),
     # wait completes locally at post + overhead
     a = t0 + C0
+    s0.compute(_COMPUTE[0])
     arr0 = a + E_XF
-    t0 = _ws(a, a, a + E_OV)
+    s0.message(4096)
+    t0 = s0.waited("MPI_Wait", a, _ws(a, a, a + E_OV))
+    post0 = t0
+
+    # rank 2 posts its receive from rank 1 and its eager send to rank 0
+    # at its own clock, then computes; the send's wait finds its
+    # completion (post + overhead) already past: no time, no key
+    post2 = t2
+    arr2 = t2 + E_XF
+    s2.message(1024)
+    d = t2 + C2
+    s2.compute(_COMPUTE[2])
+    d = s2.waited("MPI_Wait", d, _ws(d, t2, t2 + E_OV))
+
+    # rank 0's receive posted after its send's wait
+    start = post0 if post0 > arr2 else arr2
+    t0 = s0.waited("MPI_Wait", t0, _ws(t0, start, start + E_OV))
 
     # rank 1: the receive posts at its own clock *before* computing;
     # the wait starts at max(post, arrival) and costs the sender overhead
     post1 = t1
     b = t1 + C1
+    s1.compute(_COMPUTE[1])
     start = post1 if post1 > arr0 else arr0
-    t1 = _ws(b, start, start + E_OV)
+    t1 = s1.waited("MPI_Recv", b, _ws(b, start, start + E_OV))
     # rendezvous send to rank 2: posts now, RTS arrives after the wire
     # latency; completion needs rank 2's receive post
     arr1 = t1 + R_RTS
-
-    # rank 2 posts its receive at its own clock, then computes
-    post2 = t2
-    d = t2 + C2
+    s1.message(65536)
 
     # both rendezvous halves complete at the same left-associated sum
     start_r = post2 if post2 > arr1 else arr1
     fin_r = start_r + R_HS + R_LAT + R_XF + R_OV
-    t1 = _ws(t1, start_r, fin_r)
-    t2 = _ws(d, start_r, fin_r)
+    t1 = s1.waited("MPI_Wait", t1, _ws(t1, start_r, fin_r))
+    t2 = s2.waited("MPI_Recv", d, _ws(d, start_r, fin_r))
 
-    # the collective gate fires at the last arrival, costs the max cost
+    # the collective counts its message on arrival, fires at the last
+    # arrival and costs the max cost
+    for s in acc:
+        s.message(8.0)
     t_fire = max(t0, t1, t2)
     finish = t_fire + COLL_COST
-    return [_ws(t0, t_fire, finish), _ws(t1, t_fire, finish),
-            _ws(t2, t_fire, finish)]
+    return [s.waited("MPI_Allreduce", x, _ws(x, t_fire, finish))
+            for s, x in zip(acc, (t0, t1, t2))]
+
+
+def _hex(values: dict) -> dict:
+    return {k: float(v).hex() for k, v in values.items()}
 
 
 def test_hand_computed_dag_bitwise():
-    """Four steps from skewed start clocks: the vectorized level-set
-    program must land on the hand-derived clocks to the bit, and the
-    scalar replayer must agree."""
+    """Four steps from skewed start clocks and non-empty statistics: the
+    vectorized level-set program must land on the hand-derived clocks,
+    per-kind times and counters to the bit, and the scalar replayer on
+    the clocks.  Rank 2's eager-send wait never takes time, so its
+    ``MPI_Wait`` key must stay absent."""
     prog = WavefrontProgram.compile(_JOURNALS, 3)
-    t_start = [0.0, 0.375, 0.8125]
+    t_start = [0.0, 0.3, 0.7]
+    stats = [
+        RankStats(0, 0, 0, {"compute": 0.3, "MPI_Wait": 7.77},
+                  {name: 0.1 for name in COUNTER_NAMES}),
+        RankStats(1, 0, 0, {"MPI_Allreduce": 0.7},
+                  {name: 0.7 for name in COUNTER_NAMES}),
+        RankStats(2, 0, 0, {}, {name: 0.0 for name in COUNTER_NAMES}),
+    ]
+    acc = [_Acc(s.time_by_kind, s.counters) for s in stats]
 
     expected = list(t_start)
     for _ in range(4):
-        expected = _hand_step(*expected)
+        expected = _hand_step(expected, acc)
 
+    assert prog.run(t_start, 4, stats) == expected
     assert prog.run(t_start, 4) == expected
     assert Replayer(_JOURNALS, 3).run(t_start, 4) == expected
+    for s, want in zip(stats, acc):
+        assert _hex(s.time_by_kind) == _hex(want.time_by_kind)
+        assert _hex(s.counters) == _hex(want.counters)
+    assert "MPI_Wait" in stats[0].time_by_kind
+    assert "MPI_Wait" not in stats[2].time_by_kind
 
 
 def test_hand_computed_dag_levels():
@@ -194,6 +284,42 @@ def test_compile_rejects_cyclic_structure():
     ]
     with pytest.raises(ReplayUnsupported, match="cyclic|stall"):
         WavefrontProgram.compile(journals, 2)
+
+
+_clock = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=_clock,
+    f=st.floats(allow_nan=False, allow_infinity=False),
+    gap=st.sampled_from(["any", "equal", "ulp-above", "ulp-below"]),
+)
+def test_wait_kernel_identities(r, f, gap):
+    """The bitwise identities the level-set wait kernel relies on, for a
+    finite clock ``r >= +0.0`` and a finite completion ``f``: the
+    branch-free ``max(r + (f - r), r)`` is the engine's wait step, a
+    ``0.0`` pad constant is exact, and the ``-inf`` sentinel never wins
+    a ``max`` — so a sentinel leg leaves the clock unchanged."""
+    assume(math.copysign(1.0, r) > 0)
+    if gap == "equal":
+        f = r
+    elif gap == "ulp-above":
+        f = math.nextafter(r, math.inf)
+    elif gap == "ulp-below":
+        f = math.nextafter(r, -math.inf)
+    assume(math.isfinite(f))
+    rv, fv = np.array([r]), np.array([f])
+    assert _bits(np.maximum(rv + (fv - rv), rv)[0]) == _bits(_wait_step(r, r, f))
+    assert _bits((rv + 0.0)[0]) == _bits(r)
+    assert _bits(np.maximum(fv, -np.inf)[0]) == _bits(f)
+    sentinel = np.array([-np.inf])
+    resume = np.maximum(sentinel, rv)
+    assert _bits(np.maximum(resume + (sentinel - resume), resume)[0]) == _bits(r)
 
 
 # --------------------------------------------------------------------------
@@ -559,6 +685,18 @@ def _recorded(name: str, cluster, nprocs: int):
     return ctl.journals, runtime.stats
 
 
+def _scramble(stats: list, rng: random.Random) -> None:
+    """Random non-empty statistics, as a boundary-0 copy carries: some
+    time kinds already present, every counter non-zero."""
+    for s in stats:
+        for kind in ("compute", "MPI_Wait", "MPI_Recv", "MPI_Sendrecv",
+                     "MPI_Allreduce"):
+            if rng.random() < 0.5:
+                s.time_by_kind[kind] = rng.uniform(0.0, 1e-2)
+        for name in s.counters:
+            s.counters[name] = rng.uniform(0.0, 1e6)
+
+
 @pytest.mark.parametrize("cluster_name", ["A", "B"])
 @pytest.mark.parametrize("name", SUITE_ORDER)
 def test_replayers_agree_on_recorded_journals(name, cluster_name):
@@ -566,23 +704,25 @@ def test_replayers_agree_on_recorded_journals(name, cluster_name):
     scalar replayer, the level-set program and (where the journal is
     column-uniform) the column program replay 1-3 steps from random
     per-rank clocks to bitwise-equal clocks, and the two compiled
-    programs land bitwise-equal statistics."""
+    programs land bitwise-equal statistics from the same random
+    non-empty start."""
     cluster = get_cluster(cluster_name)
     rng = random.Random(f"{name}/{cluster_name}")
     for nprocs in (4, 18, cluster.cores_per_node + 4):
-        journals, fresh = _recorded(name, cluster, nprocs)
+        journals, start_stats = _recorded(name, cluster, nprocs)
+        _scramble(start_stats, rng)
         starts = [rng.uniform(0.0, 1e-3) for _ in range(nprocs)]
         nsteps = rng.randint(1, 3)
         clocks = Replayer(journals, nprocs).run(starts, nsteps)
 
-        dag_stats = copy.deepcopy(fresh)
+        dag_stats = copy.deepcopy(start_stats)
         dag = WavefrontProgram.compile(journals, nprocs)
         assert dag.run(starts, nsteps, dag_stats) == clocks, nprocs
         try:
             vec = VectorReplayer.compile(journals, nprocs)
         except ReplayUnsupported:
             continue
-        vec_stats = copy.deepcopy(fresh)
+        vec_stats = copy.deepcopy(start_stats)
         assert vec.run(starts, nsteps, vec_stats) == clocks, nprocs
         assert all(
             a.time_by_kind == b.time_by_kind and a.counters == b.counters
@@ -618,6 +758,43 @@ def test_sync_tier_replays_non_uniform_journals_on_the_dag(name, monkeypatch):
     assert on.meta["metrics"]["wavefront"]["levels"] == compiled[0].nlevels
     monkeypatch.undo()
     off = run(bench, CLUSTER_A, 72, sim_steps=8,
+              fast_forward=False, wavefront=False)
+    assert fingerprint(on) == fingerprint(off)
+
+
+@pytest.mark.parametrize(
+    ("name", "cluster_name", "nprocs", "tier"),
+    [
+        ("minisweep", "B", 104, "wavefront"),
+        ("weather", "A", 72, "wavefront"),
+        ("tealeaf", "B", 104, "sync"),
+        ("hpgmgfv", "A", 72, "sync"),
+    ],
+)
+def test_twenty_step_replay_matches_full_des(name, cluster_name, nprocs, tier,
+                                             monkeypatch):
+    """Twenty steps: the level-set program replays 19 of them, so its
+    per-step statistics fold runs 19 times on each rank's accumulators,
+    and the run stays fingerprint-identical to the tiers-off run."""
+    compiled = []
+    dag_compile = WavefrontProgram.compile.__func__
+
+    def spy_compile(cls, journals, nprocs):
+        compiled.append(dag_compile(cls, journals, nprocs))
+        return compiled[-1]
+
+    monkeypatch.setattr(WavefrontProgram, "compile", classmethod(spy_compile))
+    bench = get_benchmark(name)
+    cluster = get_cluster(cluster_name)
+    on = run(bench, cluster, nprocs, sim_steps=20)
+    monkeypatch.undo()
+    assert on.meta["fast_forward"] is True
+    assert on.meta["wavefront"] is (tier == "wavefront")
+    assert len(compiled) == 1
+    assert on.meta["metrics"]["wavefront"]["events_saved"] == 19 * (
+        compiled[0].total_ops
+    )
+    off = run(bench, cluster, nprocs, sim_steps=20,
               fast_forward=False, wavefront=False)
     assert fingerprint(on) == fingerprint(off)
 
