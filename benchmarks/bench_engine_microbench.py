@@ -1,5 +1,5 @@
 """Engine microbenchmark: DES fast path, matching, sweeps, and the
-paper-scale replay tiers.
+paper-scale steady-state replay.
 
 Quantifies the performance work on the simulation engine itself (not a
 paper figure): event throughput of the run-queue fast path versus the
@@ -7,8 +7,8 @@ pure-heap reference engine, the combined effect of the optimized engine,
 repeat deduplication and the worker pool on a full-node tiny sweep, and
 — with ``-m paperscale`` — full
 64-node jobs (the scale of the paper's Figs. 5-6) comparing the
-optimized engine (indexed matching + steady-state fast-forward + the
-wavefront level-set tier) against the pre-PR reference flags.  Run with
+optimized engine (indexed matching + steady-state replay on the column
+or the level-set program) against the pre-PR reference flags.  Run with
 ``--json`` to emit the ``BENCH_engine.json`` perf-trajectory artifact.
 """
 
@@ -20,15 +20,21 @@ import pytest
 
 from _shared import WORKERS
 from repro.des import Delay, Signal, Simulator, Wait
-from repro.harness import ascii_table, run, scaling_sweep
+from repro.harness import (
+    ScalingPoint,
+    ScalingSeries,
+    ascii_table,
+    run,
+    scaling_sweep,
+)
 from repro.machine import get_cluster
 from repro.spechpc import get_benchmark
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 
 #: Reference flags restoring the pre-optimization engine end to end
-#: (``fast_forward=False`` alone would force the wavefront tier, so the
-#: reference must disable both replay tiers explicitly).
+#: (``fast_forward=False`` alone would force the level-set program, so
+#: the reference must disable both replay programs explicitly).
 PRE_PR_FLAGS = dict(fast_forward=False, matcher="linear", wavefront=False)
 
 
@@ -48,6 +54,25 @@ def _identical(a, b) -> bool:
         and a.counters == b.counters
         and a.time_by_kind == b.time_by_kind
         and a.energy == b.energy
+    )
+
+
+def _reference_sweep(bench, cluster, counts, repeats):
+    """The series ``scaling_sweep(..., noise_sigma=0.0)`` returns, built
+    the pre-optimization way: every repeat simulated, serially, under
+    the reference flags, with the sweep's per-point seeds."""
+    return ScalingSeries(
+        benchmark=bench.name,
+        cluster=cluster.name,
+        suite="tiny",
+        points=tuple(
+            ScalingPoint(nprocs=n, runs=tuple(
+                run(bench, cluster, n, noise_sigma=0.0, seed=1000 * n + rep,
+                    **PRE_PR_FLAGS)
+                for rep in range(repeats)
+            ))
+            for n in counts
+        ),
     )
 
 
@@ -120,7 +145,7 @@ def test_full_node_sweep_speedup(benchmark):
     for at least one bandwidth-bound code (pot3d / tealeaf).
 
     Optimized = production engine + repeat deduplication + worker pool;
-    reference = the pre-PR flags (linear matcher, both replay tiers off),
+    reference = the pre-PR flags (linear matcher, both replay programs off),
     every repeat simulated, serial.  With ``noise_sigma == 0`` the
     repeats are provably identical, so the dedup factor (x repeats) is
     exact, and the worker pool adds whatever the host's cores allow on
@@ -144,10 +169,9 @@ def test_full_node_sweep_speedup(benchmark):
             bench, cluster, counts, repeats=repeats, noise_sigma=0.0,
             workers=WORKERS,
         ))
-        t_ref, ref = timed(lambda: scaling_sweep(
-            bench, cluster, counts, repeats=repeats, noise_sigma=0.0,
-            workers=1, reuse_identical_repeats=False, **PRE_PR_FLAGS,
-        ))
+        t_ref, ref = timed(
+            lambda: _reference_sweep(bench, cluster, counts, repeats)
+        )
         assert opt == ref  # field-for-field identical series
         return t_opt, t_ref
 
@@ -196,7 +220,7 @@ def test_fast_engine_equivalence_smoke(benchmark, perf_records):
     assert fast.meta["fast_forward"] is True
     assert _identical(fast, ref), "optimized engine diverged from reference"
     for flag in (
-        dict(fast_forward=False),           # forces the wavefront tier
+        dict(fast_forward=False),           # forces the level-set program
         dict(fast_forward=False, wavefront=False),
         dict(matcher="linear"),
     ):
@@ -219,7 +243,7 @@ def test_fast_engine_equivalence_smoke(benchmark, perf_records):
 
 
 def test_wavefront_smoke(benchmark, perf_records):
-    """CI smoke case for the wavefront tier: one-node minisweep — no
+    """CI smoke case for the level-set program: one-node minisweep — no
     collective, skewed step boundaries — with enough steps for the DAG
     replay to engage; must agree bit-for-bit with the pre-PR reference
     and never regress below it."""
@@ -239,7 +263,7 @@ def test_wavefront_smoke(benchmark, perf_records):
     fast, t_fast, ref, t_ref = benchmark.pedantic(compare, rounds=1, iterations=1)
     assert fast.meta["wavefront"] is True
     assert ref.meta["wavefront"] is False
-    assert _identical(fast, ref), "wavefront tier diverged from reference"
+    assert _identical(fast, ref), "level-set replay diverged from reference"
     wf = fast.meta["metrics"]["wavefront"]
     print()
     print(f"minisweep 1-node x {steps} steps: optimized {t_fast:.2f}s, "
@@ -362,22 +386,23 @@ def test_paper_scale_grid_predict(benchmark, perf_records):
 @pytest.mark.paperscale
 def test_paper_scale_64node(benchmark, perf_records):
     """Acceptance targets: >= 5x on the paper-scale 64-node minisweep
-    case (the wavefront tier's raison d'être), >= 5x combined, and **no
+    case (the level-set program's raison d'être), >= 5x combined, and **no
     case below 1x** — bit-identical throughout.
 
     lbm (torus halo exchange + allreduce) runs a 128-step slice of its
     600-step tiny workload: its step structure is exactly periodic and
-    globally synchronized, so the steady-state fast-forward simulates
-    four steps and replays the rest analytically.  minisweep has no
+    column-uniform, so the steady-state replay simulates one step and
+    replays the rest on the column program.  minisweep has no
     collective (Table 1) and weather's halo pipeline keeps its step
-    boundaries skewed — the synchronized tier declines both, and the
-    wavefront tier carries them: the journaled step compiles once into
-    a rank x step dependency DAG and the remaining steps replay as
+    boundaries skewed — neither journal is column-uniform, so the
+    level-set program carries them: the journaled step compiles once
+    into a rank x step dependency DAG and the remaining steps replay as
     vectorized level-set relaxation, O(levels) instead of O(events).
     """
     cluster = replace(get_cluster("ClusterA"), max_nodes=64)
     n = 64 * cluster.node.cores
-    # (benchmark, sim_steps, expected engaged tier)
+    # (benchmark, sim_steps, expected program: "sync" the column
+    # program, "wavefront" the level-set program)
     cases = [
         ("lbm", 128, "sync"),
         ("minisweep", 40, "wavefront"),

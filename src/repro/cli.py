@@ -127,7 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     bench = get_benchmark(args.benchmark)
     nprocs = args.nprocs or cluster.node.cores
     result = run(bench, cluster, nprocs, suite=args.suite, trace=args.trace,
-                 faults=_load_faults(args.faults), wavefront=args.wavefront)
+                 faults=_load_faults(args.faults))
     print(f"{bench.name} ({args.suite}) on {cluster.name}, {nprocs} ranks, "
           f"{result.nnodes} node(s)")
     print(f"  time      : {fmt_time(result.elapsed)}")
@@ -245,7 +245,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                repeats=args.repeats,
                                noise_sigma=0.015 if args.repeats > 1 else 0.0,
                                workers=args.workers,
-                               wavefront=args.wavefront,
                                faults=faults,
                                timeout=args.timeout,
                                retries=args.retries,
@@ -850,10 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the bottleneck diagnosis")
     pr.add_argument("--faults", metavar="PLAN.json",
                     help="inject faults from a FaultPlan JSON file")
-    pr.add_argument("--no-wavefront", action="store_false", dest="wavefront",
-                    help="disable the wavefront replay tier (see "
-                         "repro.spechpc.wavefront); every step is simulated "
-                         "unless the synchronized fast-forward engages")
     pr.set_defaults(fn=_cmd_run)
 
     pt = sub.add_parser(
@@ -930,9 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "workers on (port 0 picks a free port)")
     ps.add_argument("--metrics", action="store_true",
                     help="print engine metrics aggregated over all runs "
-                         "(includes the wavefront tier-decision counters)")
-    ps.add_argument("--no-wavefront", action="store_false", dest="wavefront",
-                    help="disable the wavefront replay tier for every point")
+                         "(includes the replay-decision counters)")
     ps.set_defaults(fn=_cmd_sweep)
 
     pw = sub.add_parser(

@@ -104,9 +104,6 @@ class RunSpec:
     seed: int = 0
     trace: bool = False
     threads_per_rank: int = 1
-    matcher: str = "indexed"
-    fast_forward: bool = True
-    wavefront: bool = True
     faults: Optional["FaultPlan"] = None
     max_events: Optional[int] = None
     sim_time_limit: Optional[float] = None
@@ -143,9 +140,6 @@ def execute(spec: RunSpec) -> RunResult:
         noise_sigma=spec.noise_sigma,
         seed=spec.seed,
         threads_per_rank=spec.threads_per_rank,
-        matcher=spec.matcher,
-        fast_forward=spec.fast_forward,
-        wavefront=spec.wavefront,
         faults=spec.faults,
         max_events=spec.max_events,
         sim_time_limit=spec.sim_time_limit,

@@ -102,31 +102,28 @@ def run(
         Message-matching implementation: ``"indexed"`` (default, O(1)
         amortized) or ``"linear"`` (the original O(pending) scan kept as
         the reference).  Bit-identical results either way.
-    fast_forward:
-        Allow the synchronized replay tier (see
+    fast_forward / wavefront:
+        Each allows one compiled program of the steady-state replay (see
         :mod:`repro.spechpc.fastforward`): once a benchmark's step
-        structure is observed to be exactly periodic and its step
-        boundaries synchronized, remaining steps are advanced
-        analytically with bit-identical statistics.  Runs with noise,
-        faults, or tracing force full fidelity regardless.
-    wavefront:
-        Allow the wavefront replay tier (see
-        :mod:`repro.spechpc.wavefront`): periodic steps whose boundaries
-        are *not* globally synchronized — KBA sweeps, skewed halo
-        pipelines — are compiled into a dependency DAG and advanced with
-        vectorized level-set replay, bit-identical to full simulation.
-        One :class:`~repro.spechpc.fastforward.ReplayController` drives
-        both tiers under the same gating.  The tier follows the
-        boundary shape, the compiled program the journal shape: a
-        synchronized run whose journal is not column-uniform replays on
-        the same level-set program with ``wavefront=False`` too, and
-        still reports ``meta["wavefront"]`` false;
-        ``fast_forward=False, wavefront=True`` forces the wavefront tier
-        even for structures the synchronized tier could handle (the
-        validation configuration).  The ranks park at the tier
-        decision; if no tier applies there or a check fails, the job
-        re-runs with both tiers off: the result is the full-DES one,
-        ``meta["metrics"]["wavefront"]`` records
+        structure is observed to be exactly periodic, the remaining
+        steps are advanced analytically with bit-identical statistics.
+        One :class:`~repro.spechpc.fastforward.ReplayController` picks
+        the program by journal shape alone: a column-uniform journal
+        (lbm, soma) replays on the column program
+        (:class:`~repro.spechpc.fastforward.VectorReplayer`) if
+        ``fast_forward`` allows it, any other journal on the level-set
+        program (:class:`~repro.spechpc.wavefront.WavefrontProgram`, a
+        dependency DAG that carries KBA sweeps and skewed halo
+        pipelines too) if ``wavefront`` allows it.
+        ``fast_forward=False`` forces the level-set program for every
+        journal (the validation configuration); ``wavefront=False``
+        leaves only the column program.  ``meta["fast_forward"]`` reads
+        "a replay engaged", ``meta["wavefront"]`` "it runs on the
+        level-set program".  Runs with noise, faults, or tracing force
+        full fidelity regardless.  The ranks park at the program
+        choice; if no allowed program applies there or a check fails,
+        the job re-runs with the replay off: the result is the full-DES
+        one, ``meta["metrics"]["wavefront"]`` records
         ``declined.<code>`` (e.g. ``declined.validation``), and
         :func:`engine_run_count` counts both executions.
     faults:
@@ -215,6 +212,7 @@ def run(
         _ParkDeclined,
         replay_ineligibility,
     )
+    from repro.spechpc.wavefront import WavefrontProgram
 
     tier_declined = replay_ineligibility(
         noise=noise,
@@ -225,7 +223,7 @@ def run(
         sim_steps=steps,
     )
     if tier_declined is None and not (fast_forward or wavefront):
-        tier_declined = ("disabled", "both replay tiers switched off")
+        tier_declined = ("disabled", "both replay programs switched off")
 
     def launch(tiers: bool):
         """Build a fresh world and run the job in it."""
@@ -277,7 +275,9 @@ def run(
     if job is None:
         ctx, runtime, job = launch(tiers=False)
     ctl = ctx.fast_forward
+    program = None
     if ctl is not None:
+        program = ctl.program
         tier_metrics = ctl.metrics
     else:
         code = tier_declined[0]
@@ -311,8 +311,8 @@ def run(
         "sim_steps": steps,
         "seed": seed,
         "noise_sigma": noise_sigma,
-        "fast_forward": ctl is not None and ctl.engaged,
-        "wavefront": ctl is not None and ctl.engaged and ctl.mode == "wavefront",
+        "fast_forward": program is not None,
+        "wavefront": isinstance(program, WavefrontProgram),
         "metrics": run_metrics(runtime, tier_metrics),
     }
     if perturb_seed is not None:

@@ -23,9 +23,6 @@ def scaling_sweep(
     sim_steps: Optional[int] = None,
     workers: int = 1,
     reuse_identical_repeats: bool = True,
-    matcher: str = "indexed",
-    fast_forward: bool = True,
-    wavefront: bool = True,
     faults: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -91,8 +88,6 @@ def scaling_sweep(
             tier=tier, corpus=corpus, tolerate_failures=tolerate_failures,
             des_kwargs=dict(
                 sim_steps=sim_steps, noise_sigma=noise_sigma,
-                matcher=matcher, fast_forward=fast_forward,
-                wavefront=wavefront,
                 faults=faults, max_events=max_events,
                 sim_time_limit=sim_time_limit,
             ),
@@ -107,9 +102,6 @@ def scaling_sweep(
             sim_steps=sim_steps,
             noise_sigma=noise_sigma,
             seed=1000 * n + rep,
-            matcher=matcher,
-            fast_forward=fast_forward,
-            wavefront=wavefront,
             faults=faults,
             max_events=max_events,
             sim_time_limit=sim_time_limit,

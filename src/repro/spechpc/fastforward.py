@@ -25,10 +25,11 @@ accumulator arithmetic without generators, signals, or heap events.
 
 Protocol (driven by :class:`StepLoop` at step boundaries)
 ---------------------------------------------------------
-One :class:`ReplayController` runs it for both replay tiers: the
-synchronized tier here (every step ends in a full-communicator
-collective, so all ranks cross each boundary at one instant) and the
-wavefront tier of :mod:`repro.spechpc.wavefront` (skewed boundaries).
+One :class:`ReplayController` runs it for every code, whether its steps
+end in a full-communicator collective (all ranks cross each boundary at
+one instant) or keep the rank clocks skewed (minisweep's KBA ripple,
+weather's halo pipeline): the boundary shape decides nothing, the
+journal shape picks the compiled program.
 
 * boundary 0: every rank notes its clock and a copy of its
   ``RankStats``.  The engine simulates step 0 with no instrumentation
@@ -42,16 +43,13 @@ wavefront tier of :mod:`repro.spechpc.wavefront` (skewed boundaries).
   (wildcard receives, payload-carrying sends, data reductions, reading
   the clock, waits on requests from before the step) declines; so does
   a rank whose two lowered steps differ — that equality is the
-  periodicity proof.  Then it picks the **tier by boundary shape** and
-  the **program by journal shape**: the synchronized tier when every
-  step ends in a full-communicator collective and all ranks cross the
-  boundary at one instant, else the wavefront tier; a column-uniform
-  journal on the synchronized tier compiles to :class:`VectorReplayer`,
-  every other journal to a
-  :class:`~repro.spechpc.wavefront.WavefrontProgram`.  It verifies
-  quiescence (mailboxes empty, no pending events) and **validates by
-  observation**: the scalar :class:`Replayer` must reproduce step 0's
-  clocks, and the program's replay of the journal, started from
+  periodicity proof.  It verifies quiescence (mailboxes empty, no
+  pending events) and the scalar :class:`Replayer` must reproduce step
+  0's clocks.  Then it picks the **program by journal shape**: a
+  column-uniform journal compiles to :class:`VectorReplayer`, every
+  other journal to a :class:`~repro.spechpc.wavefront.WavefrontProgram`
+  (a journal neither accepts declines ``structure``).  It **validates
+  by observation**: the program's replay of the journal, started from
   boundary 0's clocks and statistics, must land bitwise on boundary
   1's — clocks, every ``time_by_kind`` entry and every counter.  Then
   the program replays the remaining ``sim_steps - 1`` steps, applying
@@ -69,17 +67,17 @@ body that behaves differently under the engine than under the dry run,
 and only from step 1 on, is no longer observed (no shipped body
 inspects its communicator's type).
 
-A decline at PARK — no tier applies, or a check fails — has one exit:
-the last rank raises a private exception that carries the ``(code,
-reason)`` pair and stops the DES world with no further step simulated;
-:func:`~repro.harness.runner.run` re-executes the job with both tiers
-off (recording ``declined.<code>``), so a decline yields the full-DES
-answer by construction and pays the one-step prologue twice.
+A decline at PARK — no allowed program applies, or a check fails — has
+one exit: the last rank raises a private exception that carries the
+``(code, reason)`` pair and stops the DES world with no further step
+simulated; :func:`~repro.harness.runner.run` re-executes the job with
+the replay off (recording ``declined.<code>``), so a decline yields the
+full-DES answer by construction and pays the one-step prologue twice.
 
 Fidelity is forced (the controller is never created) for runs with
 noise, fault injection, tracing, invariant checking, schedule
 perturbation, fewer than three steps (two left to replay), or both
-tiers off.  The shared gating lives in :func:`replay_ineligibility`.
+programs off.  The shared gating lives in :func:`replay_ineligibility`.
 """
 
 from __future__ import annotations
@@ -117,10 +115,10 @@ def replay_ineligibility(
     perturb_seed: Optional[int] = None,
     sim_steps: int = 0,
 ) -> Optional[tuple[str, str]]:
-    """Why a run can never engage a replay tier, or ``None`` if it may.
+    """Why a run can never engage the replay, or ``None`` if it may.
 
-    This is the single source of truth for the *structural* gating shared
-    by the steady-state fast-forward and the wavefront tier: anything
+    This is the single source of truth for the *structural* gating of
+    the steady-state replay, whichever program it compiles: anything
     that perturbs or observes individual steps (noise, faults, tracing,
     invariant checking, schedule perturbation) or leaves no step to skip
     forces full fidelity.  Returns a
@@ -483,9 +481,8 @@ class VectorReplayer:
     precede the consuming column (so column order is a valid schedule).
     Stencil benchmarks on periodic grids (lbm's torus) satisfy this;
     for anything else :meth:`compile` raises :class:`ReplayUnsupported`
-    and the synchronized tier replays on a
-    :class:`~repro.spechpc.wavefront.WavefrontProgram` instead (the
-    program follows the journal shape, the tier the boundary shape).
+    and the controller replays on a
+    :class:`~repro.spechpc.wavefront.WavefrontProgram` instead.
 
     Bit-identity: numpy float64 elementwise ``+``/``-``/``maximum``/
     ``where`` are the same IEEE-754 double operations the scalar engine
@@ -765,13 +762,13 @@ class VectorReplayer:
 # --------------------------------------------------------------------------
 
 class _ParkDeclined(Exception):
-    """No tier applied, or a check failed, after every rank parked.
-    Raised by the last rank at the PARK boundary with the controller's
-    ``(code, reason)`` decline, it stops the DES world with no further
-    step simulated;
+    """No allowed program applied, or a check failed, after every rank
+    parked.  Raised by the last rank at the PARK boundary with the
+    controller's ``(code, reason)`` decline, it stops the DES world with
+    no further step simulated;
     :meth:`~repro.smpi.runtime.MpiRuntime.launch` lets it through and
-    :func:`~repro.harness.runner.run` re-executes the job with both
-    replay tiers off, recording that code."""
+    :func:`~repro.harness.runner.run` re-executes the job with the
+    replay off, recording that code."""
 
     def __init__(self, declined: tuple[str, str]) -> None:
         super().__init__(declined[1])
@@ -795,16 +792,14 @@ class ReplayController:
     """Per-run coordinator of the observation/decision/replay protocol.
 
     Created by the harness only for runs :func:`replay_ineligibility`
-    lets through with at least one tier on; one instance serves all
+    lets through with at least one program on; one instance serves all
     ranks.  ``body`` is the per-rank program factory the runtime
     launched; the PARK boundary dry-runs it for the step journal.
-    ``fast_forward`` allows the synchronized tier, ``wavefront`` the
-    wavefront tier (:mod:`repro.spechpc.wavefront`); when both are on,
-    the synchronized tier is tried first.  The tier follows the
-    boundary shape, the compiled program the journal shape: a
-    column-uniform journal on the synchronized tier replays on
-    :class:`VectorReplayer`, every other journal on a
-    :class:`~repro.spechpc.wavefront.WavefrontProgram`.  Both programs
+    ``fast_forward`` allows :class:`VectorReplayer`, ``wavefront`` the
+    :class:`~repro.spechpc.wavefront.WavefrontProgram`; the one rule
+    (:meth:`_compile`) takes the column program if it is allowed and the
+    journal is column-uniform, else the level-set program if it is
+    allowed, else declines ``structure``.  Both programs
     share one protocol — ``compile`` raises :class:`ReplayUnsupported`,
     ``run(t_start, nsteps, stats)`` replays, ``nlevels`` is the replay
     depth reported as ``wavefront.levels``.
@@ -831,14 +826,9 @@ class ReplayController:
         self._park_signal = Signal("replay-decision")
         #: per-rank step journal (set by the dry run at PARK)
         self.journals: Optional[list[list]] = None
-        #: "sync" | "wavefront" once the PARK boundary chose a tier
-        self.mode: Optional[str] = None
-        #: the wavefront tier's compiled program (the synchronized tier
-        #: compiles its own at commit)
+        #: the committed compiled program, its replay depth and the
+        #: analytically-skipped op count, set on commit
         self.program = None
-        self.engaged = False
-        #: the program's replay depth and the analytically-skipped op
-        #: count, set on commit
         self.levels = 0
         self.events_saved = 0
 
@@ -858,7 +848,7 @@ class ReplayController:
             self._park_signal.fire(self._execute())
         return self._park_signal
 
-    # --- decision ----------------------------------------------------------
+    # --- the journal and its program ----------------------------------------
 
     def _record(self) -> Optional[tuple[str, str]]:
         """Dry-run every rank's body for two steps and lower step 0 to
@@ -883,72 +873,41 @@ class ReplayController:
         self.journals = journals
         return None
 
-    def _sync_decline_reason(self) -> Optional[tuple[str, str]]:
-        """Checks specific to the *synchronized* replay tier: every step
-        ends in a full-communicator collective and all ranks cross each
-        boundary at one instant."""
-        for r, ops in enumerate(self.journals):
-            if not ops or ops[-1][0] != "coll":
-                return (
-                    "no-collective-boundary",
-                    f"rank {r} step does not end in a collective "
-                    "(boundaries not globally synchronized)",
-                )
-        for nows in self._clocks[1:]:
-            if any(t != nows[0] for t in nows):
-                return ("boundaries-skewed", "step boundaries not synchronized")
-        return None
+    def _compile(self):
+        """The one program choice, by journal shape: a column-uniform
+        journal compiles to :class:`VectorReplayer` when ``fast_forward``
+        allows it, any other to a
+        :class:`~repro.spechpc.wavefront.WavefrontProgram` when
+        ``wavefront`` allows it.  A journal neither allowed program
+        accepts stops the world with the ``structure`` decline, naming
+        both reasons."""
+        from repro.spechpc.wavefront import WavefrontProgram  # import cycle
 
-    def _decide(self) -> Optional[tuple[str, str]]:
-        """Record the journal and choose a tier (``mode``, and the
-        wavefront tier's compiled ``program``), or return the ``(code,
-        reason)`` none applies."""
-        declined = self._record()
-        if declined is not None:
-            return declined
-        why = "synchronized tier disabled"
+        why = "column program disabled"
         if self.fast_forward:
-            declined = self._sync_decline_reason()
-            if declined is None:
-                self.mode = "sync"
-                return None
-            if not self.wavefront:
-                return declined
-            why = declined[1]
-        from repro.spechpc.wavefront import WavefrontProgram  # import cycle
-
-        try:
-            self.program = WavefrontProgram.compile(self.journals, self.nprocs)
-        except ReplayUnsupported as exc:
-            return ("structure", f"{why}; {exc}")
-        self.mode = "wavefront"
-        return None
-
-    def _sync_program(self):
-        """The synchronized tier's compiled program: a column-uniform
-        journal replays on :class:`VectorReplayer`, any other on a
-        :class:`~repro.spechpc.wavefront.WavefrontProgram`.  A journal
-        neither compiles stops the world with the ``structure``
-        decline."""
-        from repro.spechpc.wavefront import WavefrontProgram  # import cycle
-
-        try:
-            return VectorReplayer.compile(self.journals, self.nprocs)
-        except ReplayUnsupported as exc:
-            why = str(exc)
-        try:
-            return WavefrontProgram.compile(self.journals, self.nprocs)
-        except ReplayUnsupported as exc:
-            declined = ("structure", f"{why}; {exc}")
+            try:
+                return VectorReplayer.compile(self.journals, self.nprocs)
+            except ReplayUnsupported as exc:
+                why = str(exc)
+        if self.wavefront:
+            try:
+                return WavefrontProgram.compile(self.journals, self.nprocs)
+            except ReplayUnsupported as exc:
+                why = f"{why}; {exc}"
+        else:
+            why = f"{why}; level-set program disabled"
+        declined = ("structure", why)
+        # raised outside any handler, so the error chains no context
         raise _ParkDeclined(declined)
 
     # --- engagement ---------------------------------------------------------
 
     def _execute(self) -> list[float]:
-        """Last rank at the PARK boundary: choose a tier, then commit it;
-        returns every rank's final clock.  A decline of any kind stops
-        the world instead (:class:`_ParkDeclined`)."""
-        declined = self._decide()
+        """Last rank at the PARK boundary: record the journal, then
+        commit a program for it; returns every rank's final clock.  A
+        decline of any kind stops the world instead
+        (:class:`_ParkDeclined`)."""
+        declined = self._record()
         if declined is None:
             try:
                 return self._commit()
@@ -958,14 +917,13 @@ class ReplayController:
         raise _ParkDeclined(declined)
 
     def _commit(self) -> list[float]:
-        """Check quiescence, validate the journal against the observed
-        step 0, and replay the remaining steps on the chosen tier's
-        compiled program."""
+        """Check quiescence, compile the journal, validate the program
+        against the observed step 0, and replay the remaining steps on
+        it."""
         rt = self.runtime
         n = self.nprocs
         journals = self.journals
         b0, b1 = self._clocks
-        prog = self.program
         remaining = self.sim_steps - self.PARK
         if not all(m.idle() for m in rt.mailboxes):
             raise ReplayUnsupported("in-flight messages at the boundary")
@@ -978,21 +936,20 @@ class ReplayController:
                 "validation failed: scalar replay does not reproduce "
                 "the simulated boundary clocks"
             )
-        if prog is None:
-            # the sync tier compiles only here, where neither the DES
-            # step nor the scalar check holds memory (peak RSS)
-            prog = self._sync_program()
+        # compiled only here, where neither the DES step nor the scalar
+        # check holds memory (peak RSS)
+        prog = self._compile()
         # validation by observation: the program's replay of the journal
         # from boundary 0's clocks and statistics must land bitwise on
         # boundary 1's, clocks and statistics alike
         stats = self._stats0
         if prog.run(b0, 1, stats) != b1 or not _same_stats(stats, rt.stats):
             raise ReplayUnsupported(
-                f"validation failed: {self.mode} replay of step 0 "
+                f"validation failed: {type(prog).__name__} replay of step 0 "
                 "does not reproduce boundary 1"
             )
         finals = prog.run(b1, remaining, rt.stats)
-        self.engaged = True
+        self.program = prog
         self.levels = prog.nlevels
         self.events_saved = remaining * sum(len(j) for j in journals)
         return finals

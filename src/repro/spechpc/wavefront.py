@@ -1,21 +1,17 @@
 """Wavefront fast path: precomputed KBA dependency DAG with vectorized
 level-set replay.
 
-The steady-state fast-forward (:mod:`repro.spechpc.fastforward`) requires
-globally synchronized step boundaries — every journal ends in a
-full-communicator collective and all ranks cross each boundary at one
-instant.  The paper's wavefront codes violate both: minisweep's KBA sweep
-has **no collective at all** (Table 1) and its rendezvous serialization
-ripple (Sect. 4.1.5) keeps the pipeline *skewed* — rank clocks at a step
-boundary differ by design.  This module holds the program of the
-second replay tier, for exactly that shape: the
+The paper's wavefront codes keep their step boundaries *skewed*:
+minisweep's KBA sweep has **no collective at all** (Table 1) and its
+rendezvous serialization ripple (Sect. 4.1.5) keeps rank clocks at a step
+boundary apart by design.  The column program of the steady-state replay
+(:class:`~repro.spechpc.fastforward.VectorReplayer`) needs every rank to
+run the same op sequence; this module holds the program for every other
+journal shape, skewed or synchronized: the
 :class:`~repro.spechpc.fastforward.ReplayController` compiles it at the
-PARK boundary (boundary 1) when the synchronized tier declines (or is
-switched off).  The tier follows the boundary shape and the program the
-journal shape, so the synchronized tier replays on this program too
-whenever its journal is not column-uniform
-(:class:`~repro.spechpc.fastforward.VectorReplayer` rejects it):
-tealeaf, cloverleaf, pot3d, sph-exa and hpgmgfv at multi-rank scale.
+PARK boundary (boundary 1) whenever the journal is not column-uniform
+(tealeaf, cloverleaf, pot3d, sph-exa, hpgmgfv, weather, minisweep at
+multi-rank scale) or the column program is switched off.
 
 How it works
 ------------
@@ -30,7 +26,7 @@ the observed step validated).  What differs is the replay:
   channel pairs with the k-th receive — MPI non-overtaking, exactly the
   mailbox's FIFO).  Compilation requires the per-channel send and receive
   counts to balance within the step; otherwise matches would cross step
-  boundaries and the tier declines.
+  boundaries and the program declines.
 * **Level-set scheduling** — the DAG is leveled with a work-list pass
   over the per-rank chains (each rank contributes at most one frontier
   node, so leveling is O(total ops)).  Every level holds at most one op

@@ -1,9 +1,9 @@
 """Cross-mode differential conformance.
 
 The engine carries several "same answer, different algorithm" pairs: the
-indexed mailbox matcher vs the linear scan, the steady-state
-fast-forward and the wavefront replay tier vs full stepping, and the
-parallel sweep executor vs the serial loop.  Every pair claims
+indexed mailbox matcher vs the linear scan, the steady-state replay's
+two compiled programs vs full stepping, and the parallel sweep executor
+vs the serial loop.  Every pair claims
 bit-identical results; this module is where that claim is *checked*
 rather than assumed.  (The DES run-queue fast path is held to the
 pure-heap engine by the engine-level tests and, at run level, by the
@@ -12,14 +12,16 @@ per-run phase-cost cache is held to fresh pricing by a model-level
 property test.)
 
 :func:`differential_run` executes one job in every mode of the flag
-matrix (6 = matcher × replay tier, the tier being off / fast-forward /
-fast-forward+wavefront) plus a workers>1 sweep, fingerprints each (see
-:mod:`repro.validate.golden`), and — for the trace-compatible subset —
-diffs complete event timelines against the all-reference mode,
-reporting the first mismatching trace record with its mode, rank, time,
-and kind.  (The fourth tier combination — the wavefront tier *forced*
-with the synchronized tier disabled — is covered by the golden-corpus
-test in ``tests/test_wavefront.py``.)
+matrix (6 = matcher × replay, the replay being off / the level-set
+program forced / the production choice) plus a workers>1 sweep,
+fingerprints each (see :mod:`repro.validate.golden`), and — for the
+trace-compatible subset — diffs complete event timelines against the
+all-reference mode, reporting the first mismatching trace record with
+its mode, rank, time, and kind.  Each run flag allows one compiled
+program, so forcing the level-set program also puts the column-uniform
+journals (lbm, soma) on it; the fourth combination — the column
+program alone — equals production for those codes and the replay off
+for every other.
 """
 
 from __future__ import annotations
@@ -45,11 +47,9 @@ class Mode:
 
     @property
     def label(self) -> str:
-        tier = (
-            "wf" if self.wavefront
-            else ("ff" if self.fast_forward else "noff")
-        )
-        return f"{self.matcher}+{tier}"
+        flags = [f for f, on in (("ff", self.fast_forward),
+                                 ("wf", self.wavefront)) if on]
+        return "+".join([self.matcher, *(flags or ["noff"])])
 
 
 #: The all-reference mode every other mode is diffed against: linear
@@ -59,9 +59,9 @@ REFERENCE_MODE = Mode(matcher="linear", fast_forward=False, wavefront=False)
 #: The production default.
 DEFAULT_MODE = Mode(matcher="indexed", fast_forward=True, wavefront=True)
 
-#: Replay-tier axis of the matrix: tier off, synchronized fast-forward,
-#: fast-forward with the wavefront tier on top (the production default).
-_TIERS = ((False, False), (True, False), (True, True))
+#: Replay axis of the matrix as ``(fast_forward, wavefront)``: replay
+#: off, the level-set program forced, the production choice.
+_TIERS = ((False, False), (False, True), (True, True))
 
 
 def flag_matrix() -> list[Mode]:
@@ -147,14 +147,14 @@ def differential_run(
     """Run one job through the full flag matrix and diff everything
     against the all-reference mode.
 
-    ``sim_steps`` defaults to 8, past the replay tiers' 5-step minimum,
-    so the tier axis compares a replay with the full DES; a benchmark's
-    own default (2–4 steps) would decline every tier up front and
-    compare the full DES with itself.
+    ``sim_steps`` defaults to 8, past the replay's 3-step minimum, so
+    the replay axis compares a replay with the full DES; a benchmark's
+    own default (2 steps for some codes) would decline the replay up
+    front and compare the full DES with itself.
 
-    ``trace_diff`` additionally replays the two fast-forward-off modes
-    with full traces and compares complete timelines (tracing forces the
-    fast-forward off, so FF-on modes have no distinct traced flavor).
+    ``trace_diff`` additionally replays the two replay-off modes with
+    full traces and compares complete timelines (tracing forces the
+    replay off, so replay modes have no distinct traced flavor).
     ``workers`` adds a ``run_many(workers=2)`` sweep asserting the
     process-pool path returns the same fingerprints as in-process runs.
     """

@@ -125,15 +125,15 @@ def test_fast_forward_engages_bit_identical(name):
 
 
 def test_fast_forward_ineligible_structure_falls_back():
-    """minisweep has no collective, so step boundaries never synchronize:
-    the *synchronized* tier must decline (wavefront disabled) and the run
-    stays bit-identical; with the wavefront tier allowed (the default)
-    the same structure engages and is still bit-identical."""
+    """minisweep's journal is not column-uniform: with only the column
+    program allowed (``wavefront=False``) the replay must decline and the
+    run stays bit-identical; with the level-set program allowed (the
+    default) the same structure engages and is still bit-identical."""
     bench = get_benchmark("minisweep")
-    sync_only = run(bench, CLUSTER_A, 12, sim_steps=6, wavefront=False)
+    column_only = run(bench, CLUSTER_A, 12, sim_steps=6, wavefront=False)
     ref = run(bench, CLUSTER_A, 12, sim_steps=6, **_REF)
-    assert sync_only.meta["fast_forward"] is False
-    assert _fields(sync_only) == _fields(ref)
+    assert column_only.meta["fast_forward"] is False
+    assert _fields(column_only) == _fields(ref)
     wf = run(bench, CLUSTER_A, 12, sim_steps=6)
     assert wf.meta["wavefront"] is True
     assert _fields(wf) == _fields(ref)

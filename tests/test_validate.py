@@ -169,10 +169,18 @@ def test_flag_matrix_shape():
     assert len(set(modes)) == 6
     assert modes[0] == REFERENCE_MODE
     labels = {m.label for m in modes}
+    assert len(labels) == 6
     assert labels == {
-        f"{m}+{t}" for m in ("linear", "indexed") for t in ("noff", "ff", "wf")
+        f"{m}+{t}" for m in ("linear", "indexed")
+        for t in ("noff", "wf", "ff+wf")
     }
-    assert sum(not m.fast_forward for m in modes) == 2  # the traced modes
+    # the traced modes: replay off
+    assert sum(not (m.fast_forward or m.wavefront) for m in modes) == 2
+    # every replay flag pair has its own label
+    assert len({
+        Mode(matcher="linear", fast_forward=ff, wavefront=wf).label
+        for ff in (False, True) for wf in (False, True)
+    }) == 4
 
 
 def test_differential_run_conformant():
@@ -193,16 +201,20 @@ def test_differential_run_workers_axis():
 @pytest.mark.parametrize(
     ("bench_name", "engaged"),
     [
-        ("lbm", {"linear+ff", "linear+wf", "indexed+ff", "indexed+wf"}),
-        # the sync-only mode declines: minisweep has no collective boundary
-        ("minisweep", {"linear+wf", "indexed+wf"}),
+        # lbm's column-uniform journal also runs on the forced level-set
+        # program; minisweep replays on it in both replay modes
+        ("lbm", {"linear+wf", "linear+ff+wf",
+                 "indexed+wf", "indexed+ff+wf"}),
+        ("minisweep", {"linear+wf", "linear+ff+wf",
+                       "indexed+wf", "indexed+ff+wf"}),
     ],
 )
 def test_differential_default_engages_replay_tiers(
     bench_name, engaged, monkeypatch
 ):
-    """With its default step count the differential's tier axis compares
-    an engaged replay tier with the full DES, not the DES with itself."""
+    """With its default step count the differential's replay axis
+    compares an engaged replay with the full DES, not the DES with
+    itself, and the forced level-set mode engages every code."""
     import repro.harness.runner as runner_mod
 
     real_run = runner_mod.run

@@ -21,12 +21,13 @@ Eight layers of evidence:
   not the step the engine observed, or that reads the clock, declines
   with the tiers-off fingerprint;
 * the golden-corpus grid replayed with the tier *forced* on
-  (``fast_forward=False`` leaves only the wavefront tier) against the
+  (``fast_forward=False`` leaves only the level-set program) against the
   full-fidelity reference;
 * every code's recorded journal replayed on the scalar replayer (the
-  reference), the level-set program and the column program, the
-  synchronized tier carrying non-uniform journals on the level-set
-  program, and twenty-step runs on both tiers against full DES.
+  reference), the level-set program and the column program; the
+  committed program chosen by journal shape alone, synchronized
+  non-uniform journals on the level-set program, and twenty-step runs
+  on skewed and synchronized boundaries against full DES.
 """
 
 from __future__ import annotations
@@ -453,20 +454,21 @@ def test_forced_decline_gives_full_des_answer(bench_name, tier, monkeypatch):
 
 
 def test_decision_decline_records_its_code():
-    """A decline at the tier decision re-runs the job in full DES like a
-    validation failure, and records the decision's own code: minisweep
-    with only the synchronized tier allowed has no closing collective."""
+    """A decline at the program choice re-runs the job in full DES like
+    a validation failure, and records the choice's own code: minisweep's
+    journal is not column-uniform, so with only the column program
+    allowed no program applies."""
     bench = get_benchmark("minisweep")
     ref = run(bench, CLUSTER_A, 8, sim_steps=8,
               fast_forward=False, wavefront=False)
     before = engine_run_count()
-    sync_only = run(bench, CLUSTER_A, 8, sim_steps=8, wavefront=False)
+    column_only = run(bench, CLUSTER_A, 8, sim_steps=8, wavefront=False)
     assert engine_run_count() - before == 2
-    assert sync_only.meta["metrics"]["wavefront"] == {
-        "declined.no-collective-boundary": 1.0
+    assert column_only.meta["metrics"]["wavefront"] == {
+        "declined.structure": 1.0
     }
-    assert sync_only.meta["fast_forward"] is False
-    assert fingerprint(sync_only) == fingerprint(ref)
+    assert column_only.meta["fast_forward"] is False
+    assert fingerprint(column_only) == fingerprint(ref)
 
 
 # --------------------------------------------------------------------------
@@ -652,7 +654,7 @@ def test_journal_mismatch_declines_exactly(twist, code):
 )
 def test_golden_corpus_tier_forced_on(case):
     """Every corpus benchmark on both clusters: ``fast_forward=False``
-    disables the synchronized tier, so the wavefront DAG alone must
+    disables the column program, so the wavefront DAG alone must
     carry the run — and land bit-identical to the full-fidelity
     reference."""
     bench = get_benchmark(case.benchmark)
@@ -730,15 +732,30 @@ def test_replayers_agree_on_recorded_journals(name, cluster_name):
         ), nprocs
 
 
-@pytest.mark.parametrize(
-    "name", ["tealeaf", "cloverleaf", "pot3d", "sph-exa", "hpgmgfv"]
-)
-def test_sync_tier_replays_non_uniform_journals_on_the_dag(name, monkeypatch):
-    """Synchronized boundaries whose journals are not column-uniform
-    engage the synchronized tier on a level-set program; the scalar
-    replayer replays only the one-step clock cross-check."""
-    compiled, scalar_steps = [], []
+#: the codes whose recorded journals are column-uniform at 72 and 104 ranks
+COLUMN_CODES = ("lbm", "soma")
+
+
+@pytest.mark.parametrize(("cluster_name", "nprocs"), [("A", 72), ("B", 104)])
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_program_follows_journal_shape_alone(name, cluster_name, nprocs,
+                                             monkeypatch):
+    """One rule picks the committed program, whatever the boundary
+    shape: the column program exactly when it compiles the recorded
+    journal, else the level-set program.  Each flag allows one program:
+    ``fast_forward=False`` puts every code on the level-set program,
+    ``wavefront=False`` engages only column-uniform codes and declines
+    ``structure`` for the rest.  Every engaged run compiles one program
+    and replays only the one-step clock cross-check on the scalar
+    replayer.  Every run lands on the tiers-off fingerprint."""
+    commits, compiled, scalar_steps = [], [], []
+    commit = ReplayController._commit
     dag_compile, scalar_run = WavefrontProgram.compile.__func__, Replayer.run
+
+    def spy_commit(self):
+        finals = commit(self)
+        commits.append((self.journals, self.program))
+        return finals
 
     def spy_compile(cls, journals, nprocs):
         compiled.append(dag_compile(cls, journals, nprocs))
@@ -748,22 +765,55 @@ def test_sync_tier_replays_non_uniform_journals_on_the_dag(name, monkeypatch):
         scalar_steps.append(nsteps)
         return scalar_run(self, t_start, nsteps)
 
+    monkeypatch.setattr(ReplayController, "_commit", spy_commit)
     monkeypatch.setattr(WavefrontProgram, "compile", classmethod(spy_compile))
     monkeypatch.setattr(Replayer, "run", spy_scalar)
-    bench = get_benchmark(name)
-    on = run(bench, CLUSTER_A, 72, sim_steps=8)
-    assert on.meta["fast_forward"] is True
-    assert on.meta["wavefront"] is False
-    assert len(compiled) == 1 and scalar_steps == [1]
-    assert on.meta["metrics"]["wavefront"]["levels"] == compiled[0].nlevels
-    monkeypatch.undo()
-    off = run(bench, CLUSTER_A, 72, sim_steps=8,
-              fast_forward=False, wavefront=False)
-    assert fingerprint(on) == fingerprint(off)
+    bench, cluster = get_benchmark(name), get_cluster(cluster_name)
+
+    def go(**flags):
+        commits.clear()
+        compiled.clear()
+        scalar_steps.clear()
+        return run(bench, cluster, nprocs, sim_steps=4, **flags)
+
+    ref = go(fast_forward=False, wavefront=False)
+    assert not commits
+    default = go()
+    ((journals, program),) = commits
+    try:
+        VectorReplayer.compile(journals, nprocs)
+        column = True
+    except ReplayUnsupported:
+        column = False
+    assert column is (name in COLUMN_CODES)
+    assert isinstance(program, VectorReplayer) is column
+    assert default.meta["fast_forward"] is True
+    assert default.meta["wavefront"] is not column
+    assert scalar_steps == [1]
+    assert len(compiled) == (0 if column else 1)
+    if not column:
+        assert default.meta["metrics"]["wavefront"]["levels"] == (
+            compiled[0].nlevels
+        )
+
+    dag = go(fast_forward=False)
+    ((_, program),) = commits
+    assert isinstance(program, WavefrontProgram)
+    assert dag.meta["fast_forward"] is dag.meta["wavefront"] is True
+
+    column_only = go(wavefront=False)
+    assert column_only.meta["fast_forward"] is column
+    assert column_only.meta["wavefront"] is False
+    if not column:
+        assert column_only.meta["metrics"]["wavefront"] == {
+            "declined.structure": 1.0
+        }
+    for r in (default, dag, column_only):
+        assert fingerprint(r) == fingerprint(ref)
 
 
 @pytest.mark.parametrize(
-    ("name", "cluster_name", "nprocs", "tier"),
+    ("name", "cluster_name", "nprocs", "boundaries"),
     [
         ("minisweep", "B", 104, "wavefront"),
         ("weather", "A", 72, "wavefront"),
@@ -771,25 +821,35 @@ def test_sync_tier_replays_non_uniform_journals_on_the_dag(name, monkeypatch):
         ("hpgmgfv", "A", 72, "sync"),
     ],
 )
-def test_twenty_step_replay_matches_full_des(name, cluster_name, nprocs, tier,
-                                             monkeypatch):
+def test_twenty_step_replay_matches_full_des(name, cluster_name, nprocs,
+                                             boundaries, monkeypatch):
     """Twenty steps: the level-set program replays 19 of them, so its
     per-step statistics fold runs 19 times on each rank's accumulators,
-    and the run stays fingerprint-identical to the tiers-off run."""
-    compiled = []
+    and the run stays fingerprint-identical to the tiers-off run.  The
+    same program carries skewed (``wavefront``) and synchronized
+    (``sync``) step boundaries."""
+    compiled, parked = [], []
     dag_compile = WavefrontProgram.compile.__func__
+    commit = ReplayController._commit
 
     def spy_compile(cls, journals, nprocs):
         compiled.append(dag_compile(cls, journals, nprocs))
         return compiled[-1]
 
+    def spy_commit(self):
+        parked.append(self._clocks[ReplayController.PARK])
+        return commit(self)
+
     monkeypatch.setattr(WavefrontProgram, "compile", classmethod(spy_compile))
+    monkeypatch.setattr(ReplayController, "_commit", spy_commit)
     bench = get_benchmark(name)
     cluster = get_cluster(cluster_name)
     on = run(bench, cluster, nprocs, sim_steps=20)
     monkeypatch.undo()
     assert on.meta["fast_forward"] is True
-    assert on.meta["wavefront"] is (tier == "wavefront")
+    assert on.meta["wavefront"] is True
+    (clocks,) = parked
+    assert (len(set(clocks)) == 1) is (boundaries == "sync")
     assert len(compiled) == 1
     assert on.meta["metrics"]["wavefront"]["events_saved"] == 19 * (
         compiled[0].total_ops
@@ -800,8 +860,8 @@ def test_twenty_step_replay_matches_full_des(name, cluster_name, nprocs, tier,
 
 
 def test_sync_journal_neither_program_compiles_declines_structure(monkeypatch):
-    """A synchronized-tier journal that neither compiled program accepts
-    declines ``structure`` and re-runs in full DES."""
+    """A journal that neither compiled program accepts declines
+    ``structure`` and re-runs in full DES."""
     def reject(cls, journals, nprocs):
         raise ReplayUnsupported("rejected")
 
