@@ -9,7 +9,11 @@ leaves no cyclic garbage: everything it built is freed by reference
 counting alone the moment the result is dropped.
 
 :func:`gc_paused` disables the collector for the span of one run and
-puts back the state it found.  ``gc.disable`` is process-wide, while the
+puts back the state it found.  It has two users: the harness runner
+(:func:`repro.harness.runner.run`) and the Tier A predictor
+(:func:`repro.predict.analytic.analytic_prediction`), whose dry run
+records thousands of small op tuples per query and, like a run, leaves
+no cyclic garbage behind.  ``gc.disable`` is process-wide, while the
 HTTP service executes runs on a thread pool, so the pause is
 reference-counted under a lock: the first entrant saves the caller's
 state and disables the collector, the last one out restores it.  A

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.des.gcpause import gc_paused
 from repro.machine.cluster import ClusterSpec
 from repro.model.collectives import collective_cost
 from repro.model.execution import ExecutionModel
@@ -256,6 +257,7 @@ def _walk_rank(
 # combination
 # --------------------------------------------------------------------------
 
+@gc_paused()
 def analytic_prediction(
     benchmark: Benchmark,
     cluster: ClusterSpec,
@@ -269,7 +271,9 @@ def analytic_prediction(
 
     Give either ``nnodes`` (fully populated nodes, the paper's scaling
     axis: :meth:`~repro.machine.cluster.ClusterSpec.full_node_ranks`)
-    or an explicit ``nprocs``.
+    or an explicit ``nprocs``.  A query leaves no cyclic garbage, so it
+    runs with the cyclic collector paused
+    (:func:`~repro.des.gcpause.gc_paused`).
     """
     if nprocs is None:
         if nnodes is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.des.simulator import Delay, Wait
+from repro.des.simulator import Delay, Signal, Wait
 from repro.smpi import collectives as coll
 from repro.smpi.mailbox import ANY_SOURCE, ANY_TAG, SendArrival
 from repro.smpi.request import Request
@@ -139,7 +139,8 @@ class Communicator:
         net = rt.network
         now = rt.sim.now
         intra = rt.same_node(self.rank, dest)
-        req = Request("send", dest, tag, nbytes, now)
+        # unnamed: building a per-request debug name is pure hot-path cost
+        req = Request("send", dest, tag, nbytes, now, Signal())
         c = rt.stats[self.rank].counters
         c["messages"] += 1
         c["msg_bytes"] += nbytes
@@ -183,13 +184,11 @@ class Communicator:
         """Nonblocking receive.  Returns immediately with a :class:`Request`."""
         rt = self.runtime
         now = rt.sim.now
-        req = Request("recv", source, tag, 0, now)
         arr, post = rt.mailboxes[self.rank].post_recv(source, tag, now)
         if arr is not None:
             rt.complete_match(arr, post, self.rank)
         # the mailbox match signal *is* the request completion signal
-        req.done_signal = post.match_signal
-        return req
+        return Request("recv", source, tag, 0, now, post.match_signal)
 
     def wait(self, req: Request, kind: str = "MPI_Wait") -> Generator:
         """Block until ``req`` completes; time accounted as ``kind``.

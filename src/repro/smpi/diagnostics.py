@@ -12,8 +12,7 @@ leftover-mailbox finalize error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.smpi.mailbox import ANY_SOURCE, ANY_TAG
 
@@ -27,10 +26,11 @@ class RankCrashedError(RuntimeError):
     a lost rank has failed even if the survivors finished."""
 
 
-@dataclass(frozen=True)
-class BlockedCall:
+class BlockedCall(NamedTuple):
     """What one rank is currently parked in (set by the communicator right
-    before it yields a blocking ``Wait``, cleared on wake-up)."""
+    before it yields a blocking ``Wait``, cleared on wake-up).  A
+    NamedTuple, not a dataclass: the engine builds one per blocking
+    wait."""
 
     rank: int
     op: str                 # e.g. "MPI_Recv", "MPI_Allreduce"

@@ -10,12 +10,15 @@ class Request:
 
     ``done_signal`` fires when the operation completes; its value is the
     completion time (and, for receives, the message payload descriptor).
+    The communicator passes it in: a fresh :class:`Signal` for a send,
+    the mailbox match signal for a receive.
     """
 
     __slots__ = ("kind", "peer", "tag", "nbytes", "done_signal", "posted_at")
 
     def __init__(
-        self, kind: str, peer: int, tag: int, nbytes: int, posted_at: float
+        self, kind: str, peer: int, tag: int, nbytes: int, posted_at: float,
+        done_signal: Signal,
     ) -> None:
         if kind not in ("send", "recv"):
             raise ValueError(f"unknown request kind {kind!r}")
@@ -24,8 +27,7 @@ class Request:
         self.tag = tag
         self.nbytes = nbytes
         self.posted_at = posted_at
-        # unnamed: building a per-request debug name is pure hot-path cost
-        self.done_signal = Signal()
+        self.done_signal = done_signal
 
     @property
     def done(self) -> bool:

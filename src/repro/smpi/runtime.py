@@ -241,9 +241,7 @@ class MpiRuntime:
         """Record that ``rank`` is about to park in a blocking MPI call
         (cleared by :meth:`clear_blocked` on wake-up; surviving entries
         are exactly the parked calls a deadlock report must name)."""
-        self.blocked_calls[rank] = BlockedCall(
-            rank=rank, op=op, peer=peer, tag=tag, since=self.sim.now
-        )
+        self.blocked_calls[rank] = BlockedCall(rank, op, peer, tag, self.sim.now)
 
     def clear_blocked(self, rank: int) -> None:
         self.blocked_calls.pop(rank, None)

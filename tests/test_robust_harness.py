@@ -488,17 +488,34 @@ def test_sweep_resume_uses_checkpoint(tmp_path, monkeypatch):
 
 
 def test_mismatched_recvs_deadlock_names_guilty_ranks():
+    """The report names every parked rank, line for line: a blocking
+    receive whose peer never sends, a wildcard-source wait, and a
+    collective the others never join, each with its peer, tag, blocking
+    time and wait, then the unmatched posts."""
     def body(comm):
-        # each rank waits for a message the other never sends
-        yield comm.recv((comm.rank + 1) % 2, tag=5)
+        yield comm.compute(1e-3 * comm.rank)
+        if comm.rank < 2:
+            # each waits for a message the other never sends
+            yield comm.recv((comm.rank + 1) % 2, tag=5)
+        elif comm.rank == 2:
+            yield comm.wait(comm.irecv(tag=7))
+        else:
+            yield comm.allreduce(8)
 
-    rt = MpiRuntime(CLUSTER_A, 2)
+    rt = MpiRuntime(CLUSTER_A, 4)
     with pytest.raises(DeadlockError) as excinfo:
         rt.launch(body)
-    msg = str(excinfo.value)
-    assert "rank 0" in msg and "rank 1" in msg
-    assert "MPI_Recv" in msg
-    assert "tag=5" in msg
+    assert str(excinfo.value).splitlines() == [
+        "MPI deadlock at t=0.003: 4 rank(s) blocked forever",
+        "  rank 0: MPI_Recv(peer=1, tag=5) blocked since t=0, waited 0.003s",
+        "  rank 1: MPI_Recv(peer=0, tag=5) blocked since t=0.001, waited 0.002s",
+        "  rank 2: MPI_Wait(peer=*, tag=7) blocked since t=0.002, waited 0.001s",
+        "  rank 3: MPI_Allreduce() blocked since t=0.003, waited 0s",
+        "unmatched traffic:",
+        "  rank 0: unmatched recv posted for src=1, tag=5 (posted at t=0)",
+        "  rank 1: unmatched recv posted for src=0, tag=5 (posted at t=0.001)",
+        "  rank 2: unmatched recv posted for src=*, tag=7 (posted at t=0.002)",
+    ]
 
 
 def test_leftover_sends_reported_with_peer_tag_and_size():
