@@ -71,55 +71,30 @@ def _load_faults(path: str | None):
     return FaultPlan.load(path)
 
 
-def _scenario_context(args: argparse.Namespace):
-    """Resolve ``--scenario`` against explicit flags.
+def _resolve(args: argparse.Namespace, benchmark=None, default_suite="tiny"):
+    """``--scenario`` resolved against the explicit flags by
+    :func:`repro.scenarios.resolve` (docs/scenarios.md, "Precedence")."""
+    from repro.scenarios import resolve
 
-    Precedence: an explicit ``--cluster``/``--suite``/``--faults`` flag
-    beats the scenario's value beats the command's default.  Returns
-    ``(scenario, cluster, suite, faults)`` with ``suite=None`` left for
-    the caller's own default.  Raises
-    :class:`~repro.scenarios.ScenarioError` for unknown references,
-    scenario/flag fault conflicts, and segmented frequency plans (the
-    single-cluster consumers only take fixed plans — segmented plans go
-    through :func:`repro.scenarios.run_frequency_plan`).
-    """
-    scenario = None
-    if getattr(args, "scenario", None):
-        from repro.scenarios import load_scenario
-
-        scenario = load_scenario(args.scenario)
-    if args.cluster is not None:
-        cluster = get_cluster(args.cluster)
-    elif scenario is not None:
-        cluster = scenario.effective_cluster()
-    else:
-        cluster = get_cluster("A")
-    suite = args.suite or (scenario.suite if scenario else None)
-    faults = _load_faults(getattr(args, "faults", None))
-    if scenario is not None and scenario.faults is not None:
-        if faults is not None:
-            from repro.scenarios import ScenarioError
-
-            raise ScenarioError(
-                "fault plan given both by --faults and the scenario"
-            )
-        faults = scenario.fault_plan()
-    return scenario, cluster, suite, faults
+    return resolve(
+        args.scenario,
+        cluster=args.cluster,
+        suite=args.suite,
+        faults=_load_faults(args.faults),
+        benchmarks=None if benchmark is None else (benchmark,),
+        default_suite=default_suite,
+    )
 
 
-def _scenario_benchmark(args: argparse.Namespace, scenario, name=None) -> str:
-    """The benchmark to run: explicit argument, else the scenario's
-    first listed one."""
-    name = name or getattr(args, "benchmark", None)
-    if name is None and scenario is not None and scenario.benchmarks:
-        name = scenario.benchmarks[0]
-    if name is None:
+def _require_fault_free(res, ref: str) -> None:
+    """The analytic and surrogate tiers price only fault-free points."""
+    if res.faults is not None:
         from repro.scenarios import ScenarioError
 
         raise ScenarioError(
-            "a benchmark is required (positional, or listed by the scenario)"
+            f"scenario {ref!r} carries a fault plan, which no prediction "
+            f"tier prices; simulate it with `repro sweep --scenario {ref}`"
         )
-    return name
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -157,26 +132,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import os
 
-    from repro.scenarios import ScenarioError
-
-    try:
-        scenario, cluster, suite, faults = _scenario_context(args)
-        name = _scenario_benchmark(
-            args, scenario, name=args.benchmark_opt or args.benchmark
-        )
-    except ScenarioError as exc:
-        print(f"trace: {exc}", file=sys.stderr)
-        return 2
-    bench = get_benchmark(name)
+    res = _resolve(args, benchmark=args.benchmark_opt or args.benchmark)
+    cluster = res.cluster
+    bench = get_benchmark(res.benchmark)
     if args.nprocs is not None:
         nprocs = args.nprocs
     elif args.nodes is not None:
         nprocs = args.nodes * cluster.node.cores
     else:
         nprocs = cluster.node.cores
-    result = run(bench, cluster, nprocs, suite=suite or "tiny", trace=True,
-                 faults=faults)
-    obs = result.observability()
+    result = run(bench, cluster, nprocs, suite=res.suite, trace=True,
+                 faults=res.faults)
+    obs = result.observability(network=cluster.network)
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(
         args.out, f"{bench.name}_{cluster.name}_{nprocs}r"
@@ -200,26 +167,20 @@ def _parse_hostport(value: str) -> tuple[str, int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.scenarios import ScenarioError
-
-    try:
-        scenario, cluster, suite, faults = _scenario_context(args)
-        bench = get_benchmark(_scenario_benchmark(args, scenario))
-    except ScenarioError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+    res = _resolve(args, benchmark=args.benchmark,
+                   default_suite="small" if args.nodes else "tiny")
+    cluster, suite, faults = res.cluster, res.suite, res.faults
+    bench = get_benchmark(res.benchmark)
     if args.nodes:
         cores = cluster.node.cores
         counts = [n * cores for n in (1, 2, 4, 8, 16) if n <= cluster.max_nodes]
-        suite = suite or "small"
+    elif args.counts:
+        counts = [int(c) for c in args.counts.split(",")]
     else:
-        counts = [int(c) for c in args.counts.split(",")] if args.counts else None
-        if counts is None and scenario is not None:
-            counts = scenario.rank_counts(cluster)
+        counts = res.rank_counts()
         if counts is None:
             dom = cluster.node.cores_per_domain
             counts = sorted({1, 2, 4, dom // 2, dom, 2 * dom, cluster.node.cores})
-        suite = suite or "tiny"
     tolerant = bool(
         args.timeout is not None or args.retries or args.resume
         or (faults is not None and not faults.empty)
@@ -361,16 +322,6 @@ def _cmd_report(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_golden_dir() -> str:
-    import os
-
-    return os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        "tests",
-        "golden",
-    )
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     import time
 
@@ -380,49 +331,38 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         corpus_from_golden,
         predict,
     )
+    from repro.scenarios import resolve
+    from repro.validate.golden import GOLDEN_DIR
 
-    golden_dir = args.golden_dir or _default_golden_dir()
-    scenario = None
-    if args.scenario:
-        from repro.scenarios import ScenarioError, load_scenario
-
-        try:
-            scenario = load_scenario(args.scenario)
-        except ScenarioError as exc:
-            print(f"predict: {exc}", file=sys.stderr)
-            return 2
-    if args.benchmarks is not None:
-        benchmarks = [get_benchmark(b).name for b in args.benchmarks.split(",")]
-    elif scenario is not None and scenario.benchmarks:
-        benchmarks = [get_benchmark(b).name for b in scenario.benchmarks]
+    both = args.cluster == "both" or (
+        args.cluster is None and args.scenario is None
+    )
+    res = resolve(
+        args.scenario,
+        cluster=None if both else args.cluster,
+        suite=args.suite,
+        benchmarks=args.benchmarks.split(",") if args.benchmarks else None,
+    )
+    _require_fault_free(res, args.scenario)
+    benchmarks = res.benchmarks or SUITE_ORDER
+    if both:
+        clusters = [(n, get_cluster(n)) for n in ("A", "B")]
     else:
-        benchmarks = list(SUITE_ORDER)
-    if scenario is not None and args.cluster is None:
         # label rows with the reference when there is one, else the name
-        try:
-            clusters = [(scenario.cluster or scenario.name,
-                         scenario.effective_cluster())]
-        except ScenarioError as exc:
-            print(f"predict: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sel = args.cluster or "both"
-        names = ["A", "B"] if sel == "both" else [sel]
-        clusters = [(n, get_cluster(n)) for n in names]
+        label = args.cluster or res.scenario.cluster or res.scenario.name
+        clusters = [(label, res.cluster)]
     if args.nodes is not None:
         node_counts = [int(n) for n in args.nodes.split(",")]
-    elif scenario is not None and scenario.node_counts() is not None:
-        node_counts = scenario.node_counts()
     else:
-        node_counts = [1, 2, 4, 8, 16, 32, 64]
-    suite = args.suite or (scenario.suite if scenario else None) or "tiny"
+        node_counts = res.node_counts() or [1, 2, 4, 8, 16, 32, 64]
+    suite = res.suite
 
     # reference corpus: DES ground truth for the error-bar column (and
     # the surrogate's training data)
     if args.corpus is not None:
         corpus = PredictionCorpus(args.corpus)
     else:
-        corpus = corpus_from_golden(golden_dir)
+        corpus = corpus_from_golden(args.golden_dir or GOLDEN_DIR)
     truth = {(s.benchmark, s.cluster, s.suite, s.nprocs): s for s in corpus}
 
     rows = []
@@ -506,7 +446,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     golden_dir = args.golden_dir
     if golden_dir is None and not args.no_golden_seed:
-        golden_dir = _default_golden_dir()
+        from repro.validate.golden import GOLDEN_DIR
+
+        golden_dir = GOLDEN_DIR
     app = ServeApp(
         host=args.host,
         port=args.port,
@@ -543,6 +485,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         ScenarioError,
         load_scenario,
         load_zoo_cluster,
+        resolve,
         scenario_names,
         zoo_provenance,
     )
@@ -595,12 +538,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         return 2
 
     if args.action == "show":
-        try:
-            s = load_scenario(args.name)
-            cluster = s.base_cluster()
-        except ScenarioError as exc:
-            print(f"scenarios show: {exc}", file=sys.stderr)
-            return 2
+        s = load_scenario(args.name)
+        cluster = s.base_cluster()
         print(s.to_json())
         print(f"\ndigest : {s.digest}")
         print(f"cluster: {cluster.name} — {cluster.node.cores} cores/node "
@@ -642,22 +581,16 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     )
     from repro.model.dvfs import frequency_grid
 
-    try:
-        s = load_scenario(args.name)
-        cluster = s.base_cluster()
-    except ScenarioError as exc:
-        print(f"scenarios frequencies: {exc}", file=sys.stderr)
-        return 2
-    if args.benchmarks is not None:
-        benchmarks = [get_benchmark(b).name for b in args.benchmarks.split(",")]
-    elif s.benchmarks:
-        benchmarks = list(s.benchmarks)
-    else:
-        benchmarks = list(SUITE_ORDER)
+    res = resolve(
+        args.name,
+        benchmarks=args.benchmarks.split(",") if args.benchmarks else None,
+    )
+    _require_fault_free(res, args.name)
+    # the grid replaces the scenario's own frequency plan
+    cluster, suite = res.machine, res.suite
     grid = frequency_grid(cluster, steps=args.steps)
-    suite = s.suite or "tiny"
     rows = []
-    for bname in benchmarks:
+    for bname in res.benchmarks or SUITE_ORDER:
         pts = frequency_sweep(
             get_benchmark(bname), cluster, frequencies=grid,
             nnodes=args.nodes, suite=suite,
@@ -686,15 +619,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     import os
 
     from repro.validate.golden import (
+        GOLDEN_DIR,
         DirtyTreeError,
         check_case,
         golden_cases,
         regenerate,
     )
 
-    golden_dir = args.golden_dir
-    if golden_dir is None:
-        golden_dir = _default_golden_dir()
+    golden_dir = args.golden_dir or GOLDEN_DIR
 
     if args.regen:
         try:
@@ -1112,8 +1044,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from repro.scenarios import ScenarioError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ScenarioError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

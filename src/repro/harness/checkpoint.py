@@ -45,7 +45,8 @@ CHECKPOINT_SCHEMA = 3
 def spec_key(spec: Any) -> str:
     """Stable identity digest of a RunSpec (duck-typed: any object with
     the spec's fields works).  The cluster enters by label *and* machine
-    digest: a DVFS re-clock keeps the label but not the machine."""
+    digest: a DVFS re-clock keeps the label but not the machine.  An
+    empty fault plan keys like no plan: both run fault-free."""
     faults = getattr(spec, "faults", None)
     raw = "|".join(
         str(x)
@@ -59,7 +60,7 @@ def spec_key(spec: Any) -> str:
             spec.noise_sigma,
             spec.seed,
             spec.threads_per_rank,
-            "-" if faults is None else faults.digest,
+            "-" if faults is None or faults.empty else faults.digest,
         )
     )
     return hashlib.sha256(raw.encode()).hexdigest()[:24]

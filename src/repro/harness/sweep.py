@@ -22,7 +22,6 @@ def scaling_sweep(
     noise_sigma: float = 0.0,
     sim_steps: Optional[int] = None,
     workers: int = 1,
-    reuse_identical_repeats: bool = True,
     faults: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -46,8 +45,7 @@ def scaling_sweep(
     With ``noise_sigma == 0`` the seed is inert and all repeats of a point
     are bit-identical, so each point is simulated once and replicated
     (only the recorded ``meta['seed']`` differs, patched to what the
-    repeat would have used).  ``reuse_identical_repeats=False`` forces the
-    redundant simulations — the reference path for the microbenchmark.
+    repeat would have used).
 
     Failure tolerance (``timeout`` / ``retries`` / ``tolerate_failures``
     / ``checkpoint``) is delegated to
@@ -107,7 +105,7 @@ def scaling_sweep(
             sim_time_limit=sim_time_limit,
         )
 
-    dedup = reuse_identical_repeats and noise_sigma == 0.0 and repeats > 1
+    dedup = noise_sigma == 0.0 and repeats > 1
     if dedup:
         specs = [spec(n, 0) for n in proc_counts]
     else:

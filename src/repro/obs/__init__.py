@@ -11,8 +11,8 @@ its whole MPI analysis on (Fig. 2 insets, Sects. 4.1.4-4.1.5):
 * :mod:`repro.obs.patterns` — detectors for the paper's two signature
   pathologies: the minisweep rendezvous serialization ripple and the
   lbm one-slow-rank collective skew, with per-rank attribution;
-* :mod:`repro.obs.metrics` — one registry aggregating the engine's
-  scattered counters into a JSON-exportable per-run snapshot;
+* :mod:`repro.obs.metrics` — the engine's scattered counters gathered
+  into one JSON-exportable per-run snapshot;
 * :mod:`repro.obs.export_chrome` / :mod:`repro.obs.export_svg` /
   :mod:`repro.obs.report` — exporters: Chrome ``trace_event`` JSON
   (loadable in Perfetto), an SVG timeline, a markdown waiting-time
@@ -46,12 +46,7 @@ from repro.obs.export_chrome import (
     write_chrome_trace,
 )
 from repro.obs.export_svg import render_svg_timeline, write_svg_timeline
-from repro.obs.metrics import (
-    MetricsRegistry,
-    aggregate_metrics,
-    run_metrics,
-    runtime_registry,
-)
+from repro.obs.metrics import aggregate_metrics, run_metrics
 from repro.obs.patterns import (
     RippleReport,
     SkewReport,
@@ -98,8 +93,6 @@ __all__ = [
     "analyze_waiting",
     "detect_ripples",
     "detect_collective_skew",
-    "MetricsRegistry",
-    "runtime_registry",
     "run_metrics",
     "aggregate_metrics",
     "to_chrome_trace",

@@ -5,14 +5,13 @@ repo's life: :class:`~repro.des.simulator.SimStats` (event/heap/run-queue
 throughput), the per-rank :class:`~repro.smpi.mailbox.Mailbox` queues,
 the :class:`~repro.faults.injector.FaultInjector` plan, and the
 :class:`~repro.perfmon.trace.TraceCollector` interval count.  This
-module gathers them behind one :class:`MetricsRegistry`:
+module gathers them into one snapshot:
 
-* every *source* is a named callable returning a flat ``{metric: value}``
+* every *source* is a function returning a flat ``{metric: value}``
   dict — reading is a pure post-run inspection, never a mutation, so
   collection is zero-perturbation by construction;
-* :func:`runtime_registry` wires the standard sources of an
-  :class:`~repro.smpi.runtime.MpiRuntime`;
-* :meth:`MetricsRegistry.snapshot` returns the nested
+* :func:`run_metrics` reads the standard sources of an
+  :class:`~repro.smpi.runtime.MpiRuntime` into the nested
   ``{source: {metric: value}}`` dict that the runner stores in
   ``RunResult.meta["metrics"]`` and :func:`aggregate_metrics` sums
   across a sweep's runs.
@@ -23,7 +22,6 @@ Every value is a plain int/float, so snapshots survive JSON round-trips
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,47 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.runtime import MpiRuntime
 
 MetricSource = Callable[[], Mapping[str, float]]
-
-
-class MetricsRegistry:
-    """Named metric sources, snapshotted on demand.
-
-    >>> reg = MetricsRegistry()
-    >>> reg.register("engine", lambda: {"events": 42})
-    >>> reg.snapshot()
-    {'engine': {'events': 42}}
-    """
-
-    def __init__(self) -> None:
-        self._sources: dict[str, MetricSource] = {}
-
-    def register(self, name: str, source: MetricSource) -> None:
-        """Add (or replace) one named source.  ``source`` is called at
-        snapshot time and must return a flat mapping of numbers."""
-        if not callable(source):
-            raise TypeError(f"source {name!r} must be callable")
-        self._sources[name] = source
-
-    def unregister(self, name: str) -> None:
-        self._sources.pop(name, None)
-
-    @property
-    def sources(self) -> list[str]:
-        return sorted(self._sources)
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """Read every source once; sources are keyed in sorted order so
-        the snapshot (and its JSON form) is deterministic."""
-        return {
-            name: dict(self._sources[name]()) for name in sorted(self._sources)
-        }
-
-    def query(self, source: str, metric: str) -> float:
-        """One value, e.g. ``registry.query("engine", "events")``."""
-        return dict(self._sources[source]())[metric]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=indent)
 
 
 # --- standard sources ---------------------------------------------------------
@@ -129,35 +86,30 @@ def trace_metrics(trace: Any) -> dict[str, float]:
     }
 
 
-def runtime_registry(
-    runtime: "MpiRuntime", tier: MetricSource | None = None
-) -> MetricsRegistry:
-    """A registry wired with every standard source the runtime carries:
-    always ``engine`` and ``mailboxes``; ``faults``/``trace`` when the
-    corresponding subsystem is attached; ``wavefront`` when the runner
-    passes the tier-decision counters as ``tier``
-    (``eligible``/``levels``/``events_saved`` on engage,
-    ``declined.<reason>`` otherwise).  ``tier`` is passed in, not kept
-    on the runtime: the replay controller holds the runtime, so the
-    runtime holding the controller's ``metrics`` would be a cycle."""
-    reg = MetricsRegistry()
-    reg.register("engine", lambda: engine_metrics(runtime.sim))
-    reg.register("mailboxes", lambda: mailbox_metrics(runtime.mailboxes))
-    if runtime.faults is not None:
-        reg.register("faults", lambda: fault_metrics(runtime.faults))
-    if runtime.trace is not None:
-        reg.register("trace", lambda: trace_metrics(runtime.trace))
-    if tier is not None:
-        reg.register("wavefront", tier)
-    return reg
-
-
 def run_metrics(
     runtime: "MpiRuntime", tier: MetricSource | None = None
 ) -> dict[str, dict[str, float]]:
     """The standard post-run snapshot stored in
-    ``RunResult.meta["metrics"]``."""
-    return runtime_registry(runtime, tier).snapshot()
+    ``RunResult.meta["metrics"]``: always ``engine`` and ``mailboxes``;
+    ``faults``/``trace`` when the corresponding subsystem is attached;
+    ``wavefront`` when the runner passes the tier-decision counters as
+    ``tier`` (``eligible``/``levels``/``events_saved`` on engage,
+    ``declined.<reason>`` otherwise).  ``tier`` is passed in, not kept
+    on the runtime: the replay controller holds the runtime, so the
+    runtime holding the controller's ``metrics`` would be a cycle.
+    Sources are keyed in sorted order, so the snapshot (and its JSON
+    form) is deterministic."""
+    snap = {
+        "engine": engine_metrics(runtime.sim),
+        "mailboxes": mailbox_metrics(runtime.mailboxes),
+    }
+    if runtime.faults is not None:
+        snap["faults"] = fault_metrics(runtime.faults)
+    if runtime.trace is not None:
+        snap["trace"] = trace_metrics(runtime.trace)
+    if tier is not None:
+        snap["wavefront"] = dict(tier())
+    return dict(sorted(snap.items()))
 
 
 def aggregate_metrics(series: "ScalingSeries") -> dict[str, dict[str, float]]:

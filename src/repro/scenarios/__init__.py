@@ -4,13 +4,15 @@ One :class:`~repro.scenarios.spec.Scenario` file names everything a
 what-if needs — the machine (a registry/zoo reference or inline
 parameters), the workload, a frequency plan, a fault plan, sweep axes —
 and every consumer (``repro sweep``, ``repro trace``,
-``repro predict``, ``repro serve``) accepts it via ``--scenario``.
+``repro predict``, ``repro serve``) accepts it via ``--scenario`` and
+resolves it through the one :func:`~repro.scenarios.resolution.resolve`.
 The format and the checked-in zoo are documented in
 ``docs/scenarios.md``; identity semantics live on
 :attr:`~repro.scenarios.spec.Scenario.digest`.
 """
 
 from repro.machine.cluster import canonical_cluster_record
+from repro.scenarios.resolution import Resolution, resolve
 from repro.scenarios.run import (
     SegmentedResult,
     run_frequency_plan,
@@ -44,6 +46,7 @@ __all__ = [
     "ZOO_DIR",
     "FrequencyPlan",
     "FrequencySegment",
+    "Resolution",
     "Scenario",
     "ScenarioError",
     "SegmentedResult",
@@ -54,6 +57,7 @@ __all__ = [
     "library_names",
     "load_scenario",
     "load_zoo_cluster",
+    "resolve",
     "run_frequency_plan",
     "run_scenario",
     "scenario_names",

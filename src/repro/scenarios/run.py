@@ -30,6 +30,7 @@ from repro.harness.results import RunResult
 from repro.harness.runner import run
 from repro.machine.cluster import ClusterSpec
 from repro.model.dvfs import apply_frequency
+from repro.scenarios.resolution import resolve
 from repro.scenarios.spec import FrequencyPlan, Scenario, ScenarioError
 from repro.spechpc.base import Benchmark
 
@@ -175,41 +176,26 @@ def run_scenario(
     suite: Optional[str] = None,
     **kwargs: Any,
 ):
-    """Run one benchmark under a scenario.
-
-    Resolution order for the workload: explicit arguments beat scenario
-    fields beat defaults (``suite`` falls back to ``"tiny"``; the
-    benchmark falls back to the scenario's first listed one).  Returns a
+    """Run one benchmark under a scenario, resolved by
+    :func:`~repro.scenarios.resolution.resolve` (a ``faults=`` keyword
+    is the explicit fault plan).  Returns a
     :class:`~repro.harness.results.RunResult` for fixed-frequency (or
     unclocked) scenarios, a :class:`SegmentedResult` for segmented
     plans.
     """
     from repro.spechpc.suite import get_benchmark
 
-    name = benchmark or (scenario.benchmarks[0] if scenario.benchmarks else None)
-    if name is None:
-        raise ScenarioError(
-            f"scenario {scenario.name!r} lists no benchmarks; pass one"
-        )
-    bench = get_benchmark(name)
-    resolved_suite = suite or scenario.suite or "tiny"
-    plan = scenario.fault_plan()
-    if plan is not None:
-        if kwargs.get("faults") is not None:
-            raise ScenarioError(
-                "fault plan given both by the scenario and the caller"
-            )
-        kwargs["faults"] = plan
-    freq = scenario.frequency
-    if freq is not None and not freq.is_fixed:
+    res = resolve(
+        scenario, suite=suite, faults=kwargs.pop("faults", None),
+        benchmarks=None if benchmark is None else (benchmark,),
+    )
+    bench = get_benchmark(res.benchmark)
+    if res.segmented:
         return run_frequency_plan(
-            bench,
-            scenario.base_cluster(),
-            freq,
-            nprocs,
-            suite=resolved_suite,
-            **kwargs,
+            bench, res.machine, res.frequency, nprocs, suite=res.suite,
+            faults=res.faults, **kwargs,
         )
     return run(
-        bench, scenario.effective_cluster(), nprocs, suite=resolved_suite, **kwargs
+        bench, res.cluster, nprocs, suite=res.suite, faults=res.faults,
+        **kwargs,
     )

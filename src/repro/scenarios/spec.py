@@ -252,24 +252,6 @@ class Scenario:
         except ZooError as exc:
             raise ScenarioError(f"inline cluster_spec: {exc}") from exc
 
-    def effective_cluster(self) -> ClusterSpec:
-        """The machine with the (fixed) frequency plan applied — what
-        every single-run consumer simulates on.  Multi-segment plans
-        have no single effective cluster; those go through
-        :func:`repro.scenarios.run.run_frequency_plan`."""
-        cluster = self.base_cluster()
-        if self.frequency is None:
-            return cluster
-        from repro.model.dvfs import apply_frequency
-
-        try:
-            return apply_frequency(
-                cluster, self.frequency.frequency_hz,
-                self.frequency.uncore_ratio,
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-
     def fault_plan(self):
         """The scenario's :class:`~repro.faults.plan.FaultPlan` (or None)."""
         if self.faults is None:
@@ -280,24 +262,6 @@ class Scenario:
             return FaultPlan.from_dict(self.faults)
         except ValueError as exc:
             raise ScenarioError(f"malformed fault plan: {exc}") from exc
-
-    def node_counts(self, cluster: Optional[ClusterSpec] = None) -> Optional[list[int]]:
-        """The sweep axis as node counts, or None when unset."""
-        if not self.sweep:
-            return None
-        if "nodes" in self.sweep:
-            return list(self.sweep["nodes"])
-        cluster = cluster or self.base_cluster()
-        return [cluster.nodes_for(c) for c in self.sweep["counts"]]
-
-    def rank_counts(self, cluster: Optional[ClusterSpec] = None) -> Optional[list[int]]:
-        """The sweep axis as rank counts, or None when unset."""
-        if not self.sweep:
-            return None
-        if "counts" in self.sweep:
-            return list(self.sweep["counts"])
-        cluster = cluster or self.base_cluster()
-        return [n * cluster.cores_per_node for n in self.sweep["nodes"]]
 
     def validate(self) -> None:
         """Resolve every reference; raises :class:`ScenarioError`."""
@@ -314,26 +278,19 @@ class Scenario:
                     )
                 except ValueError as exc:
                     raise ScenarioError(str(exc)) from exc
-        plan = self.fault_plan()
-        del plan
-        if self.suite is not None or self.benchmarks:
-            from repro.spechpc.suite import get_benchmark
+        self.fault_plan()  # raises on a malformed plan
+        from repro.spechpc.suite import get_benchmark
 
-            names = self.benchmarks or ()
-            for bname in names:
-                try:
-                    bench = get_benchmark(bname)
-                except (KeyError, ValueError) as exc:
-                    raise ScenarioError(
-                        f"unknown benchmark {bname!r}"
-                    ) from exc
-                if self.suite is not None:
-                    _require(
-                        self.suite in bench.workloads,
-                        f"benchmark {bname!r} has no {self.suite!r} workload",
-                    )
-        for nnodes in self.node_counts(cluster) or ():
-            _require(nnodes >= 1, "sweep node counts must be >= 1")
+        for bname in self.benchmarks:
+            try:
+                bench = get_benchmark(bname)
+            except (KeyError, ValueError) as exc:
+                raise ScenarioError(f"unknown benchmark {bname!r}") from exc
+            if self.suite is not None:
+                _require(
+                    self.suite in bench.workloads,
+                    f"benchmark {bname!r} has no {self.suite!r} workload",
+                )
 
     # --- identity ---------------------------------------------------------
 

@@ -17,23 +17,24 @@ threads, seed/noise, explicit step counts, fault plans — are all keyed.
 
 A request may name a :class:`~repro.scenarios.Scenario` instead of a
 cluster — a library/zoo reference string or an inline scenario
-document (``"scenario": "zoo/cascadelake"``).  The scenario supplies
-the machine, a fixed frequency plan, a fault plan, and a default suite,
-each of which lands in the record through the fields it resolves to:
-the effective machine's
+document (``"scenario": "zoo/cascadelake"``).  The spec is resolved
+once, by :func:`repro.scenarios.resolve` — the same rules as every
+other front end (``docs/scenarios.md``, "Precedence") — and the
+scenario's machine, fixed frequency plan, fault plan and suite land in
+the record through the fields they resolve to: the effective machine's
 :attr:`~repro.machine.cluster.ClusterSpec.machine_digest` (frequency
 included), the fault digest, the suite.  ``"scenario": "zoo/icelake"``
 and ``"cluster": "A"`` therefore share a key, while a re-clocked
-scenario splits it.  Segmented frequency plans are rejected here — the
-server prices single runs, and a multi-frequency trajectory is not one
-run (use :func:`repro.scenarios.run_frequency_plan` locally).
+scenario splits it.  Segmented frequency plans are rejected: the
+server prices single runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Optional
 
 #: Bump on incompatible canonical-record change (old store records then
@@ -76,7 +77,8 @@ class ServeSpec:
     of the canonical record so a later cluster-table change cannot alias
     two different runs onto one key.  Exactly one of ``cluster`` and
     ``scenario`` must be given; ``suite=None`` resolves to the
-    scenario's suite, then ``"tiny"``.
+    scenario's suite, then ``"tiny"``.  The resolution is computed once
+    per spec (:meth:`validate`, which :meth:`from_request` calls).
     """
 
     benchmark: str
@@ -142,40 +144,10 @@ class ServeSpec:
         spec.validate()
         return spec
 
-    # --- scenario resolution ----------------------------------------------
-
-    def scenario_obj(self):
-        """The resolved :class:`~repro.scenarios.Scenario`, or ``None``."""
-        if self.scenario is None:
-            return None
-        from repro.scenarios import Scenario, ScenarioError, load_scenario
-
-        try:
-            if isinstance(self.scenario, str):
-                return load_scenario(self.scenario)
-            scenario = Scenario.from_dict(self.scenario)
-            scenario.validate()
-            return scenario
-        except ScenarioError as exc:
-            raise SpecError(f"bad scenario: {exc}") from exc
-
-    @property
-    def resolved_suite(self) -> str:
-        """Request suite > scenario suite > ``"tiny"``."""
-        if self.suite is not None:
-            return self.suite
-        if self.scenario is not None:
-            scenario = self.scenario_obj()
-            if scenario.suite is not None:
-                return scenario.suite
-        return "tiny"
-
     # --- validation / resolution ------------------------------------------
 
     def validate(self) -> None:
-        """Resolve registry names and bounds; raises :class:`SpecError`."""
-        from repro.spechpc.suite import get_benchmark
-
+        """Check bounds and resolve the spec; raises :class:`SpecError`."""
         _require(self.nnodes >= 1, "nnodes must be >= 1")
         _require(self.nprocs is None or self.nprocs >= 1, "nprocs must be >= 1")
         _require(self.threads >= 1, "threads must be >= 1")
@@ -188,60 +160,39 @@ class ServeSpec:
             (self.cluster is None) != (self.scenario is None),
             "give exactly one of 'cluster' and 'scenario'",
         )
-        try:
-            bench = get_benchmark(self.benchmark)
-        except (KeyError, ValueError) as exc:
-            raise SpecError(f"unknown benchmark {self.benchmark!r}") from exc
-        scenario = self.scenario_obj()
-        if scenario is not None:
-            if scenario.frequency is not None and not scenario.frequency.is_fixed:
-                raise SpecError(
-                    "the server prices single runs; segmented frequency "
-                    "plans are not one run (use repro.scenarios."
-                    "run_frequency_plan locally)"
-                )
-            _require(
-                not (scenario.faults is not None and self.faults is not None),
-                "fault plan given both by the scenario and the spec",
-            )
-        else:
-            from repro.machine.registry import get_cluster
+        self._resolved  # resolves once; raises SpecError
 
-            try:
-                get_cluster(self.cluster)
-            except (KeyError, ValueError) as exc:
-                raise SpecError(f"unknown cluster {self.cluster!r}") from exc
-        suite = self.resolved_suite
-        _require(
-            suite in bench.workloads,
-            f"benchmark {bench.name!r} has no {suite!r} workload "
-            f"(choose from {', '.join(sorted(bench.workloads))})",
-        )
-        if self.faults is not None:
-            self.fault_plan()  # raises SpecError on malformed plans
-
-    def resolve(self):
-        """-> (Benchmark, ClusterSpec, nprocs), capacity-raised like
-        :meth:`repro.predict.api.PredictionSpec.resolve`.  The cluster
-        is the scenario's *effective* machine (frequency plan applied)
-        when the request names a scenario."""
-        from dataclasses import replace
-
+    @cached_property
+    def _resolved(self):
+        """-> (Benchmark, ClusterSpec, nprocs, Resolution), computed once
+        per spec by :func:`repro.scenarios.resolve`.  The cluster is
+        capacity-raised like
+        :meth:`repro.predict.api.PredictionSpec.resolve`."""
+        from repro.scenarios import ScenarioError, resolve
         from repro.spechpc.suite import get_benchmark
 
-        bench = get_benchmark(self.benchmark)
-        scenario = self.scenario_obj()
-        if scenario is not None:
-            from repro.scenarios import ScenarioError
+        faults = None
+        if self.faults is not None:
+            from repro.faults.plan import FaultPlan
 
             try:
-                cluster = scenario.effective_cluster()
-            except ScenarioError as exc:
-                raise SpecError(str(exc)) from exc
-        else:
-            from repro.machine.registry import get_cluster
-
-            cluster = get_cluster(self.cluster)
+                faults = FaultPlan.from_json(json.dumps(self.faults))
+            except Exception as exc:
+                raise SpecError(f"malformed fault plan: {exc}") from exc
+        try:
+            res = resolve(
+                self.scenario, cluster=self.cluster, suite=self.suite,
+                faults=faults, benchmarks=(self.benchmark,),
+            )
+            cluster = res.cluster
+        except ScenarioError as exc:
+            raise SpecError(str(exc)) from exc
+        bench = get_benchmark(res.benchmark)
+        _require(
+            res.suite in bench.workloads,
+            f"benchmark {bench.name!r} has no {res.suite!r} workload "
+            f"(choose from {', '.join(sorted(bench.workloads))})",
+        )
         if self.nnodes > cluster.max_nodes:
             cluster = replace(cluster, max_nodes=self.nnodes)
         try:
@@ -250,57 +201,40 @@ class ServeSpec:
             )
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        return bench, cluster, nprocs
+        return bench, cluster, nprocs, res
 
-    def fault_plan(self):
-        """The request's :class:`~repro.faults.plan.FaultPlan` (its own,
-        or the scenario's), or None."""
-        doc = self.faults
-        if doc is None and self.scenario is not None:
-            scenario = self.scenario_obj()
-            doc = scenario.faults
-        if doc is None:
-            return None
-        from repro.faults.plan import FaultPlan
-
-        try:
-            return FaultPlan.from_json(json.dumps(doc))
-        except Exception as exc:
-            raise SpecError(f"malformed fault plan: {exc}") from exc
+    def resolve(self):
+        """-> (Benchmark, ClusterSpec, nprocs)."""
+        return self._resolved[:3]
 
     def run_spec(self):
         """The equivalent :class:`~repro.harness.parallel.RunSpec`
         (default production engine flags — the golden configuration)."""
         from repro.harness.parallel import RunSpec
 
-        bench, cluster, nprocs = self.resolve()
+        bench, cluster, nprocs, res = self._resolved
         return RunSpec(
             benchmark=bench,
             cluster=cluster,
             nprocs=nprocs,
-            suite=self.resolved_suite,
+            suite=res.suite,
             sim_steps=self.sim_steps,
             noise_sigma=self.noise_sigma,
             seed=self.seed,
             threads_per_rank=self.threads,
-            faults=self.fault_plan(),
+            faults=res.faults,
         )
 
     def prediction_spec(self):
         """The equivalent :class:`~repro.predict.api.PredictionSpec`, or
         ``None`` when the request uses DES-only axes (noise, faults,
-        explicit step counts) that no cheap tier can price — or runs on
-        a machine the cheap tiers are not calibrated for
-        (:func:`repro.machine.calibrated`)."""
-        if (
-            self.noise_sigma != 0.0
-            or self.sim_steps is not None
-            or self.fault_plan() is not None
-        ):
+        explicit step counts) or a machine the cheap tiers are not
+        calibrated for
+        (:meth:`repro.scenarios.Resolution.cheap_tier_cluster`)."""
+        if self.noise_sigma != 0.0 or self.sim_steps is not None:
             return None
-        from repro.machine.registry import calibrated
-
-        cluster = calibrated(self.resolve()[1])
+        res = self._resolved[3]
+        cluster = res.cheap_tier_cluster()
         if cluster is None:
             return None
         from repro.predict.api import PredictionSpec
@@ -309,7 +243,7 @@ class ServeSpec:
             benchmark=self.benchmark,
             cluster=cluster,
             nnodes=self.nnodes,
-            suite=self.resolved_suite,
+            suite=res.suite,
             threads=self.threads,
             nprocs=self.nprocs,
         )
@@ -326,8 +260,8 @@ class ServeSpec:
         (exact, platform-free), and a fault plan contributes its own
         canonical JSON digest.
         """
-        bench, cluster, nprocs = self.resolve()
-        plan = self.fault_plan()
+        bench, cluster, nprocs, res = self._resolved
+        plan = res.faults
         return {
             "schema": SPEC_SCHEMA,
             "benchmark": bench.name,
@@ -335,7 +269,7 @@ class ServeSpec:
             "machine": cluster.machine_digest,
             "nnodes": self.nnodes,
             "nprocs": nprocs,
-            "suite": self.resolved_suite,
+            "suite": res.suite,
             "threads": self.threads,
             "seed": self.seed,
             "noise_sigma": float(self.noise_sigma).hex(),

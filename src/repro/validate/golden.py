@@ -41,6 +41,14 @@ CLUSTER_NAMES = ("A", "B")
 #: Node counts covered by the checked-in corpus.
 DEFAULT_SCALES = (1, 4)
 
+#: The checked-in corpus: the default ``--golden-dir`` of every command.
+GOLDEN_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))),
+    "tests",
+    "golden",
+)
+
 
 def _hex(x: float) -> str:
     """Exact, platform-independent float encoding."""

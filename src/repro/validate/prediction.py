@@ -23,8 +23,6 @@ failure strings — empty means every tier honored its claim.
 
 from __future__ import annotations
 
-import os
-
 #: Relative tolerance for "exact": interpolation at a trained point goes
 #: through exp(log(...)) once, so allow a few ulps of round-off.
 EXACT_RTOL = 1e-9
@@ -32,15 +30,6 @@ EXACT_RTOL = 1e-9
 #: Node counts simulated fresh as interpolation holdouts (must lie
 #: strictly inside the golden scales' hull).
 HOLDOUT_SCALES = (2,)
-
-
-def _default_golden_dir() -> str:
-    return os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))),
-        "tests",
-        "golden",
-    )
 
 
 def _rel(predicted: float, reference: float) -> float:
@@ -69,9 +58,10 @@ def prediction_differential(
         predict,
     )
     from repro.predict.analytic import SAMPLE_LIMIT
+    from repro.validate.golden import GOLDEN_DIR
 
     if golden_dir is None:
-        golden_dir = _default_golden_dir()
+        golden_dir = GOLDEN_DIR
     if sample_limit is None:
         sample_limit = SAMPLE_LIMIT
 

@@ -16,7 +16,13 @@ configuration, it must not *change* it.  Two checks enforce that:
   scenario vs :func:`repro.model.dvfs.apply_frequency` by hand, and
   each segment of a segmented plan vs a standalone fixed run at that
   frequency (which is what makes phase-cost-cache staleness across a
-  frequency change structurally impossible).
+  frequency change structurally impossible).  It also holds the front
+  ends to one resolution: for every zoo and library scenario, the CLI's
+  flags, a ``repro serve`` request and the library call
+  (:func:`repro.scenarios.resolve`, which
+  :func:`~repro.scenarios.run_scenario` runs) agree on the machine
+  digest, suite, fault digest and benchmark, and refuse a segmented
+  plan alike.
 
 Both return human-readable failure strings, empty when green — the CLI
 surfaces them via ``repro validate --scenarios``.
@@ -171,5 +177,47 @@ def scenario_differential(nprocs: int = 8) -> list[str]:
                 f"segmented plan: the {frequency / 1e9:g} GHz segment "
                 f"({n} steps) differs from a standalone fixed run "
                 f"({got.digest[:12]} != {want.digest[:12]})"
+            )
+    return failures + _front_end_agreement()
+
+
+def _front_end_agreement() -> list[str]:
+    """The front ends resolve every zoo and library scenario alike (see
+    the module docstring)."""
+    from repro.cli import _resolve, build_parser
+    from repro.scenarios import ScenarioError, resolve, scenario_names
+    from repro.serve.spec import ServeSpec, SpecError
+
+    def identity(resolved):
+        try:
+            cluster, suite, faults, benchmark = resolved()
+        except (ScenarioError, SpecError) as exc:
+            return f"refused: {exc}"
+        digest = None if faults is None or faults.empty else faults.digest
+        return cluster.machine_digest, suite, digest, benchmark
+
+    names = scenario_names()
+    failures: list[str] = []
+    for ref in [f"zoo/{n}" for n in names["zoo"]] + names["library"]:
+        explicit = None if resolve(ref).benchmarks else "lbm"
+        lib = resolve(ref, benchmarks=[explicit] if explicit else None)
+        argv = ["trace", "--scenario", ref] + ([explicit] if explicit else [])
+        cli = _resolve(build_parser().parse_args(argv), benchmark=explicit)
+        request = {"benchmark": lib.benchmark, "scenario": ref}
+
+        def serve():
+            rs = ServeSpec.from_request(request).run_spec()
+            return rs.cluster, rs.suite, rs.faults, rs.benchmark.name
+
+        views = {}
+        for name, res in (("library", lib), ("cli", cli)):
+            views[name] = identity(
+                lambda: (res.cluster, res.suite, res.faults, res.benchmark)
+            )
+        views["serve"] = identity(serve)
+        if len(set(views.values())) != 1:
+            failures.append(
+                f"scenario {ref}: front ends resolve it differently: "
+                + "; ".join(f"{k}={v}" for k, v in views.items())
             )
     return failures

@@ -25,21 +25,11 @@ empty means the service is transparent.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 #: max_band offered on the predict-path check: generous enough that the
 #: surrogate (exact at corpus points) always qualifies at golden specs.
 PREDICT_MAX_BAND = 0.25
-
-
-def _default_golden_dir() -> str:
-    return os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))),
-        "tests",
-        "golden",
-    )
 
 
 def serving_differential(
@@ -58,10 +48,15 @@ def serving_differential(
     """
     from repro.harness.runner import engine_run_count
     from repro.serve import ServeApp, ServeClient, loopback_server
-    from repro.validate.golden import fingerprint, golden_cases, run_case
+    from repro.validate.golden import (
+        GOLDEN_DIR,
+        fingerprint,
+        golden_cases,
+        run_case,
+    )
 
     if golden_dir is None:
-        golden_dir = _default_golden_dir()
+        golden_dir = GOLDEN_DIR
 
     cases = [
         c for c in golden_cases(scales=scales)

@@ -188,6 +188,27 @@ def test_old_checkpoint_schemas_miss_and_rerun(tmp_path):
     assert fingerprint(out[0]) == fingerprint(result)
 
 
+def test_empty_fault_plan_keys_like_no_plan(tmp_path):
+    """run() treats an empty plan as fault-free, so a checkpointed point
+    is restored for it instead of re-run."""
+    from dataclasses import replace
+
+    from repro.faults import FaultPlan, SlowRank
+    from repro.harness import engine_run_count
+
+    (clean,) = _specs(1)
+    empty = replace(clean, faults=FaultPlan())
+    slow = replace(clean, faults=FaultPlan(slow_ranks=(SlowRank(0, 2.0),)))
+    assert spec_key(empty) == spec_key(clean)
+    assert spec_key(slow) != spec_key(clean)
+    path = str(tmp_path / "ck.jsonl")
+    (first,) = run_many([clean], checkpoint=path)
+    before = engine_run_count()
+    (again,) = run_many([empty], checkpoint=path)
+    assert engine_run_count() == before
+    assert fingerprint(again) == fingerprint(first)
+
+
 def test_compact_folds_duplicates_and_drops_events(tmp_path):
     path = str(tmp_path / "ck.jsonl")
     specs = _specs(2)

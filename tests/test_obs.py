@@ -1,5 +1,5 @@
 """Observability layer: classification boundaries, pattern detectors,
-the metrics registry, and the zero-perturbation guarantee."""
+the per-run metrics snapshot, and the zero-perturbation guarantee."""
 
 import json
 import os
@@ -15,7 +15,6 @@ from repro.obs import (
     NETWORK_TRANSFER,
     RECV_WAIT,
     RENDEZVOUS_WAIT,
-    MetricsRegistry,
     Segment,
     Timelines,
     aggregate_metrics,
@@ -208,25 +207,7 @@ def test_analyze_waiting_composes_both():
     assert any("ripple" in f for f in analysis.findings())
 
 
-# --- metrics registry ---------------------------------------------------------
-
-
-def test_registry_snapshot_and_query():
-    reg = MetricsRegistry()
-    reg.register("b_source", lambda: {"x": 2})
-    reg.register("a_source", lambda: {"y": 1.5})
-    snap = reg.snapshot()
-    assert list(snap) == ["a_source", "b_source"]  # deterministic order
-    assert reg.query("b_source", "x") == 2
-    assert json.loads(reg.to_json()) == snap
-    reg.unregister("b_source")
-    assert reg.sources == ["a_source"]
-
-
-def test_registry_rejects_non_callable():
-    reg = MetricsRegistry()
-    with pytest.raises(TypeError):
-        reg.register("bad", {"not": "callable"})
+# --- run metrics -------------------------------------------------------------
 
 
 def test_run_result_carries_metrics(small_run):

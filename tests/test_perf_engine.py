@@ -4,8 +4,8 @@ The optimizations must be invisible in the results: every test here pins
 the optimized paths (run-queue fast path, phase-cost memoization, process
 -pool sweeps, repeat deduplication) against the reference flavors
 (``Simulator(fast_path=False)``, a fresh ``ExecutionModel``, a
-``perturb_seed`` run on the pure-heap engine, ``workers=1``,
-``reuse_identical_repeats=False``) and demands *bit-identical* output.
+``perturb_seed`` run on the pure-heap engine, ``workers=1``, one
+``run`` per repeat) and demands *bit-identical* output.
 """
 
 import gc
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.des import Delay, Signal, SimStats, Simulator, Wait
 from repro.harness import RunSpec, run, run_many, scaling_sweep
+from repro.harness.results import ScalingPoint, ScalingSeries
 from repro.harness.parallel import execute
 from repro.machine import CLUSTER_A, CLUSTER_B
 from repro.model.dvfs import frequency_grid
@@ -378,10 +379,23 @@ def test_parallel_sweep_matches_serial():
 
 def test_repeat_dedup_matches_full_repeats():
     bench = get_benchmark("tealeaf")
-    kwargs = dict(suite="tiny", repeats=3, noise_sigma=0.0, proc_counts=[1, 4])
-    dedup = scaling_sweep(bench, CLUSTER_A, **kwargs)
-    full = scaling_sweep(
-        bench, CLUSTER_A, reuse_identical_repeats=False, **kwargs
+    counts, repeats = [1, 4], 3
+    dedup = scaling_sweep(
+        bench, CLUSTER_A, counts, suite="tiny", repeats=repeats,
+        noise_sigma=0.0,
+    )
+    # the reference simulates every repeat with the seed it would use
+    full = ScalingSeries(
+        benchmark=bench.name,
+        cluster=CLUSTER_A.name,
+        suite="tiny",
+        points=tuple(
+            ScalingPoint(nprocs=n, runs=tuple(
+                run(bench, CLUSTER_A, n, noise_sigma=0.0, seed=1000 * n + rep)
+                for rep in range(repeats)
+            ))
+            for n in counts
+        ),
     )
     assert dedup == full
     # the dedup path really does replicate: repeats share everything but

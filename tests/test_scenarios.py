@@ -370,3 +370,146 @@ def test_zoo_validation_green():
     from repro.validate.scenario import zoo_validation
 
     assert zoo_validation() == []
+
+
+# --- one resolution for every front end --------------------------------------
+
+
+def test_cli_trace_on_a_zoo_machine_writes_artifacts(tmp_path, capsys):
+    out = tmp_path / "trace"
+    assert main(["trace", "lbm", "--scenario", "zoo/cascadelake", "-n", "4",
+                 "-o", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert written == [
+        "lbm_Cascadelake_4r.chrome.json",
+        "lbm_Cascadelake_4r.md",
+        "lbm_Cascadelake_4r.svg",
+    ]
+
+
+@pytest.mark.parametrize("tier", ["auto", "analytic", "surrogate", "des"])
+def test_cli_predict_refuses_a_scenario_fault_plan(tier, capsys):
+    assert main(["predict", "--scenario", "degraded_fabric_day",
+                 "--tier", tier]) == 2
+    err = capsys.readouterr().err
+    assert "fault plan" in err
+    assert "repro sweep --scenario degraded_fabric_day" in err
+
+
+class _Ran(Exception):
+    """Raised by a stand-in ``run`` to capture what a front end runs."""
+
+
+def _capture_run(bench, cluster, nprocs, suite="tiny", faults=None, **_):
+    raise _Ran(bench.name, cluster, suite, faults)
+
+
+def _identity(benchmark, cluster, suite, faults):
+    digest = None if faults is None or faults.empty else faults.digest
+    return benchmark, cluster.machine_digest, suite, digest
+
+
+@pytest.mark.parametrize(
+    "ref", [f"zoo/{n}" for n in zoo_names()] + library_names()
+)
+def test_front_ends_resolve_every_scenario_alike(ref, monkeypatch, capsys):
+    import repro.cli
+    import repro.scenarios.run
+    from repro.scenarios import resolve, run_scenario
+    from repro.serve.spec import ServeSpec, SpecError
+
+    monkeypatch.setattr(repro.cli, "run", _capture_run)
+    monkeypatch.setattr(repro.scenarios.run, "run", _capture_run)
+    scenario = load_scenario(ref)
+    explicit = None if scenario.benchmarks else "lbm"
+    res = resolve(ref, benchmarks=[explicit] if explicit else None)
+    argv = ["trace", "--scenario", ref, "-n", "1"]
+    request = {"benchmark": res.benchmark, "scenario": ref}
+    if res.segmented:
+        # single-run front ends refuse a segmented plan; run_scenario
+        # prices it segment by segment
+        assert main(argv) == 2
+        assert "segmented" in capsys.readouterr().err
+        with pytest.raises(SpecError, match="segmented"):
+            ServeSpec.from_request(request)
+        with pytest.raises(_Ran):
+            run_scenario(scenario, 1, benchmark=explicit)
+        return
+    want = _identity(res.benchmark, res.cluster, res.suite, res.faults)
+
+    with pytest.raises(_Ran) as cli:
+        main(argv + ([explicit] if explicit else []))
+    with pytest.raises(_Ran) as lib:
+        run_scenario(scenario, 1, benchmark=explicit)
+    spec = ServeSpec.from_request(request).run_spec()
+    assert _identity(*cli.value.args) == want
+    assert _identity(*lib.value.args) == want
+    assert _identity(
+        spec.benchmark.name, spec.cluster, spec.suite, spec.faults
+    ) == want
+
+
+def test_scenario_run_request_loads_its_scenario_once(monkeypatch):
+    from repro.serve import ServeApp, ServeClient, loopback_server
+
+    loads = []
+    validate = Scenario.validate
+    monkeypatch.setattr(
+        Scenario, "validate",
+        lambda self: (loads.append(self.name), validate(self))[1],
+    )
+    app = ServeApp(workers=1, sweep_executor="serial")
+    with loopback_server(app) as (host, port):
+        answer = ServeClient(host, port).run({
+            "benchmark": "lbm", "scenario": "dvfs_lbm_clockdown",
+            "nprocs": 4,
+        })
+    assert answer.source == "des"
+    assert loads == ["dvfs_lbm_clockdown"]
+
+
+#: ``ServeSpec.key`` of each request as computed before the serve spec
+#: moved onto :func:`repro.scenarios.resolve`: store files written then
+#: must still hit.
+PINNED_KEYS = [
+    ({"benchmark": "lbm", "cluster": "A"},
+     "900098075775803e322012ede9d6451cf5011534d998686dfef2094be161029b"),
+    ({"benchmark": "tealeaf", "cluster": "ClusterB", "nnodes": 4,
+      "suite": "small", "threads": 2, "seed": 3, "noise_sigma": 0.02,
+      "sim_steps": 5},
+     "7f13750e468e8ad4db8e177a64e4d817f5c26564f312c08b959c83d883d9e8c0"),
+    ({"benchmark": "lbm", "cluster": "A",
+      "faults": {"slow_ranks": [{"rank": 0, "factor": 2.0}]}},
+     "4e1a60f4c7e6ee2baeb0edfdfb084084f7b795dd858ca29422b3edc81bbb6996"),
+    ({"benchmark": "lbm", "cluster": "zoo/cascadelake", "nnodes": 2},
+     "445a7d820475f2c023514e73bf84e5ca0e801ee6feb51c44dbf811d2ec866e02"),
+    ({"benchmark": "lbm", "scenario": "zoo/cascadelake"},
+     "2cc4ffbd8966b9793faa693477774c603a0f4c5582434265226e9cdabd693a23"),
+    ({"benchmark": "soma", "scenario": "zoo/raspberrypi", "nnodes": 64},
+     "6516a2b3ad79bbbdfe1cdc3f48d39f80e70c1a2a15dea1958e67f4db1af50aa7"),
+    ({"benchmark": "minisweep", "scenario": "degraded_fabric_day",
+      "nnodes": 2},
+     "bea123604114721797252192de48e2c7140d6a067d21239728d000ef9ebf2f3c"),
+    ({"benchmark": "lbm", "scenario": "dvfs_lbm_clockdown"},
+     "d23c4917d2d85daeb36d5405509a58a06a20a4837e85aa7f8cf6eaf14f326bc6"),
+    ({"benchmark": "lbm",
+      "scenario": {"name": "slow", "cluster": "A", "frequency": 1.6}},
+     "425cd733d82e2027a3e77c1c93b52e28c5b68d0440f10dad19f40e95337623f7"),
+    ({"benchmark": "pot3d",
+      "scenario": {"name": "inline", "cluster_spec": "ClusterA",
+                   "suite": "small"},
+      "nnodes": 2, "nprocs": 100},
+     "0b59f38fbffe8bf5187ba98e30200a6a426d59096c1265afd1f180ca1b1dc12f"),
+]
+
+
+@pytest.mark.parametrize("doc,key", PINNED_KEYS)
+def test_serve_keys_stay_pinned(doc, key):
+    from repro.serve.spec import ServeSpec
+
+    scenario = doc.get("scenario")
+    if isinstance(scenario, dict) and "cluster_spec" in scenario:
+        scenario = {**scenario, "cluster_spec": cluster_to_dict(
+            get_cluster(scenario["cluster_spec"]))}
+        doc = {**doc, "scenario": scenario}
+    assert ServeSpec.from_request(doc).key == key
