@@ -143,7 +143,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         nprocs = cluster.node.cores
     result = run(bench, cluster, nprocs, suite=res.suite, trace=True,
                  faults=res.faults)
-    obs = result.observability(network=cluster.network)
+    obs = result.observability()
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(
         args.out, f"{bench.name}_{cluster.name}_{nprocs}r"
@@ -616,12 +616,11 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    import os
-
     from repro.validate.golden import (
         GOLDEN_DIR,
         DirtyTreeError,
         check_case,
+        compute_fingerprint,
         golden_cases,
         regenerate,
     )
@@ -679,62 +678,45 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             zoo_validation,
         )
 
-        lane = zoo_validation() + scenario_differential()
-        failures.extend(lane)
+        lines = zoo_validation() + scenario_differential()
+        failures.extend(lines)
         print(
             "scenario lane (zoo + named-vs-inline differential): "
-            + ("ok" if not lane else f"{len(lane)} failure(s)")
+            + ("ok" if not lines else f"{len(lines)} failure(s)")
         )
+
+    def lane(skip: bool, check) -> str:
+        """Run one check unless skipped; its status for the table."""
+        if skip:
+            return "skipped"
+        lines = check()
+        failures.extend(lines)
+        return "FAIL" if lines else "ok"
+
+    from repro.validate.differential import differential_run
+    from repro.validate.perturb import sanitize
 
     for bname in benchmarks:
         for cname in clusters:
-            cluster = get_cluster(cname)
-            nprocs = args.nprocs or cluster.node.cores
-
-            golden_status = "skipped"
-            if not args.skip_golden:
-                golden_status = "ok"
-                for case in golden_cases(scales=(1,)):
-                    if case.benchmark != bname or case.cluster != cname:
-                        continue
-                    try:
-                        mismatch = check_case(golden_dir, case)
-                    except FileNotFoundError:
-                        golden_status = "missing"
-                        failures.append(
-                            f"golden {case.slug}: no checked-in fingerprint "
-                            f"(run `repro validate --regen`)"
-                        )
-                        continue
-                    if mismatch:
-                        golden_status = "FAIL"
-                        failures.append(f"golden {mismatch}")
-
-            perturb_status = "skipped"
-            if not args.skip_perturb:
-                from repro.validate.perturb import sanitize
-
-                rep = sanitize(
+            nprocs = args.nprocs or get_cluster(cname).node.cores
+            rows.append((
+                bname, cname, nprocs,
+                lane(args.skip_golden, lambda: [
+                    line
+                    for case in golden_cases(scales=(1,))
+                    if case.benchmark == bname and case.cluster == cname
+                    for line in check_case(
+                        golden_dir, case, compute_fingerprint(case)
+                    )
+                ]),
+                lane(args.skip_perturb, lambda: sanitize(
                     bname, cname, nprocs, suite=args.suite,
                     shuffles=args.shuffles,
-                )
-                perturb_status = "ok" if rep.ok else "FAIL"
-                if not rep.ok:
-                    failures.append(f"perturb {rep.summary()}")
-
-            diff_status = "skipped"
-            if not args.skip_differential:
-                from repro.validate.differential import differential_run
-
-                dr = differential_run(bname, cname, nprocs, suite=args.suite)
-                diff_status = "ok" if dr.ok else "FAIL"
-                if not dr.ok:
-                    failures.append(f"differential {dr.summary()}")
-
-            rows.append(
-                (bname, cname, nprocs, golden_status, perturb_status,
-                 diff_status)
-            )
+                )),
+                lane(args.skip_differential, lambda: differential_run(
+                    bname, cname, nprocs, suite=args.suite
+                )),
+            ))
 
     print(ascii_table(
         ["benchmark", "cluster", "ranks", "golden", "perturb", "differential"],

@@ -145,7 +145,9 @@ class RunResult:
         (see :func:`repro.obs.observe`; requires ``run(..., trace=True)``).
 
         Keyword arguments are forwarded to :func:`~repro.obs.observe`
-        (``network``, ``ranks``, detector thresholds)."""
+        (``ranks``, detector thresholds); the intervals are classified
+        against the network of the machine the run simulated, which
+        the trace carries."""
         from repro.obs import observe  # local import: obs sits above harness
 
         return observe(self, **kwargs)

@@ -192,7 +192,9 @@ def run(
     # per-rank aggregates only (paper-scale tracing)
     collector = None
     if trace:
-        collector = TraceCollector(streaming=(trace == "streaming"))
+        collector = TraceCollector(
+            streaming=(trace == "streaming"), network=cluster.network
+        )
     injector = None
     if faults is not None and not faults.empty:
         faults.validate_for(nprocs)

@@ -38,7 +38,7 @@ The one-call entry point::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.obs.export_chrome import (
     chrome_trace_json,
@@ -177,7 +177,6 @@ class ObsBundle:
 
 def observe(
     result: "RunResult",
-    network: Any = None,
     ranks: Optional[Iterable[int]] = None,
     min_ripple_wait: Optional[float] = None,
     min_ripple_depth: int = 4,
@@ -187,18 +186,16 @@ def observe(
     :class:`~repro.harness.results.RunResult`.
 
     The run must have been executed with ``trace=True`` (or a streaming
-    trace with a ring); ``network`` defaults to the spec of the result's
-    own cluster.  Raises ``ValueError`` for an untraced result.
+    trace with a ring); intervals are classified against the network of
+    the machine the run simulated, which the trace carries.  Raises
+    ``ValueError`` for an untraced result.
     """
     if result.trace is None:
         raise ValueError(
             "result carries no trace — run with trace=True to observe it"
         )
-    if network is None:
-        from repro.machine.registry import get_cluster
-
-        network = get_cluster(result.cluster).network
-    timelines = build_timelines(result.trace, network, ranks=ranks)
+    timelines = build_timelines(result.trace, result.trace.network,
+                                ranks=ranks)
     analysis = analyze_waiting(
         timelines,
         min_ripple_wait=min_ripple_wait,

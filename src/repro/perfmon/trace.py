@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,21 @@ class TraceCollector:
     ``streaming=True`` switches to bounded-memory aggregation (see the
     module docstring); ``ring`` caps how many recent intervals are kept
     for timeline rendering in that mode (``None`` keeps none).
+    ``network`` is the :class:`~repro.machine.network.NetworkSpec` of
+    the machine the traced job ran on — what :func:`repro.obs.observe`
+    classifies the intervals against; :func:`repro.harness.runner.run`
+    passes its cluster's.
     """
 
-    def __init__(self, streaming: bool = False, ring: int | None = None) -> None:
+    def __init__(
+        self,
+        streaming: bool = False,
+        ring: int | None = None,
+        network: Any = None,
+    ) -> None:
         if ring is not None and ring < 1:
             raise ValueError("ring capacity must be >= 1")
+        self.network = network
         self.streaming = streaming
         self.ring_capacity = ring if streaming else None
         if streaming:

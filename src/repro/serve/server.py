@@ -520,8 +520,7 @@ class ServeApp:
         pspec = spec.prediction_spec()
         if pspec is None:
             raise SpecError(
-                "spec uses DES-only axes (noise_sigma, sim_steps, faults) "
-                "that no prediction tier can price — POST /run instead"
+                f"{spec.unpriceable_reason()} — POST /run instead"
             )
         from repro.predict.api import TIERS, predict
 

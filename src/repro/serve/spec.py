@@ -225,23 +225,33 @@ class ServeSpec:
             faults=res.faults,
         )
 
+    def unpriceable_reason(self) -> Optional[str]:
+        """Why no prediction tier can price this request, or ``None``:
+        it uses DES-only axes (noise, faults, explicit step counts), or
+        its machine is not one the cheap tiers are calibrated for
+        (:meth:`repro.scenarios.Resolution.cheap_tier_cluster`)."""
+        _, cluster, _, res = self._resolved
+        if (self.noise_sigma != 0.0 or self.sim_steps is not None
+                or res.faults is not None):
+            return ("spec uses DES-only axes (noise_sigma, sim_steps, "
+                    "faults) that no prediction tier can price")
+        if res.cheap_tier_cluster() is None:
+            return (f"machine {cluster.name!r} is not calibrated for the "
+                    "prediction tiers")
+        return None
+
     def prediction_spec(self):
         """The equivalent :class:`~repro.predict.api.PredictionSpec`, or
-        ``None`` when the request uses DES-only axes (noise, faults,
-        explicit step counts) or a machine the cheap tiers are not
-        calibrated for
-        (:meth:`repro.scenarios.Resolution.cheap_tier_cluster`)."""
-        if self.noise_sigma != 0.0 or self.sim_steps is not None:
+        ``None`` when no prediction tier can price the request
+        (:meth:`unpriceable_reason`)."""
+        if self.unpriceable_reason() is not None:
             return None
         res = self._resolved[3]
-        cluster = res.cheap_tier_cluster()
-        if cluster is None:
-            return None
         from repro.predict.api import PredictionSpec
 
         return PredictionSpec(
             benchmark=self.benchmark,
-            cluster=cluster,
+            cluster=res.cheap_tier_cluster(),
             nnodes=self.nnodes,
             suite=res.suite,
             threads=self.threads,

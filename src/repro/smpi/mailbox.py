@@ -29,9 +29,14 @@ MPI leaves the relative order of messages *from different sources* that
 arrive simultaneously unspecified; our engine fixes it by arrival-stamp
 FIFO.  ``Mailbox(..., tie_shuffle=rng)`` re-randomizes exactly that legal
 freedom with a seeded RNG: same-``arrival_time`` arrivals from different
-``(src, tag)`` channels are reordered relative to each other, while the
-orders MPI mandates — per-channel non-overtaking and the receiver's own
-posted-receive order — are preserved structurally.  This is the matching
+``(src, tag)`` channels are reordered relative to each other, while
+per-channel *arrival* order and the receiver's own posted-receive order
+are preserved structurally.  Arrival order is not yet MPI's
+non-overtaking (send) order: a small eager message sent after a larger
+one on the same channel arrives, and matches, first — ``run(hpgmgfv,
+CLUSTER_A, 5, invariants=True)`` raises ``InvariantViolation:
+non-overtaking…``.  The engine fix is the first open item of
+ROADMAP.md.  This is the matching
 half of the validation subsystem's determinism sanitizer
 (:mod:`repro.validate.perturb`): a result that shifts under the shuffle
 depends on a tie-break MPI never promised.  The seeded tie-break draw
@@ -166,8 +171,10 @@ class Mailbox:
             # Under perturbation the cross-queue choice keys on
             # (arrival_time, jitter) instead — same-time arrivals from
             # different channels compete in seeded-random order, which is
-            # a legal MPI matching order; per-channel FIFO is structural
-            # (pops always come from a queue head).
+            # a legal MPI matching order; per-channel arrival FIFO is
+            # structural (pops always come from a queue head), which is
+            # not yet send order (module docstring, ROADMAP.md's first
+            # open item).
             shuffled = self.tie_shuffle is not None
             best_q = None
             best_key: object = None

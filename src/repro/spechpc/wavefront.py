@@ -23,9 +23,13 @@ the observed step validated).  What differs is the replay:
   a dependency DAG over their send/receive *post nodes*: each op depends
   on its program-order predecessor, and each wait additionally on its
   match partner's post node (the k-th send of a ``(dest, src, tag)``
-  channel pairs with the k-th receive — MPI non-overtaking, exactly the
-  mailbox's FIFO).  Compilation requires the per-channel send and receive
-  counts to balance within the step; otherwise matches would cross step
+  channel pairs with the k-th receive — MPI non-overtaking).  The
+  engine's mailbox pairs by arrival order instead, which differs when a
+  small eager message overtakes a larger one sent before it; the
+  scalar cross-check then declines ``validation`` (hpgmgfv on ClusterA
+  at 4 nodes) — the engine fix is the first open item of ROADMAP.md.
+  Compilation requires the per-channel send and receive counts to
+  balance within the step; otherwise matches would cross step
   boundaries and the program declines.
 * **Level-set scheduling** — the DAG is leveled with a work-list pass
   over the per-rank chains (each rank contributes at most one frontier

@@ -2,12 +2,19 @@
 sanitizer, cross-mode differential conformance, prediction-tier
 differential, and inline MPI invariants.
 
-The parts answer one question from six angles — *did this change
-alter simulated results it should not have?*
+The parts answer one question from seven angles — *did this change
+alter simulated results it should not have?*  Every check returns its
+failure lines, an empty list meaning pass, and every check that holds
+one run to another makes that comparison with one function,
+:func:`~repro.validate.golden.fingerprint_diff`: two runs agree iff
+their fingerprints do (and, where both ran traced, their timelines),
+and a failure line names the check and the job, both digest prefixes,
+the first differing canonical-record field and, where traces ran, the
+first differing trace record.
 
 * :mod:`repro.validate.golden` — canonical result fingerprints checked
-  into ``tests/golden/``; any semantic drift in the model fails CI with
-  the exact field that moved.
+  into ``tests/golden/`` and the one run comparison; any semantic drift
+  in the model fails CI with the exact field that moved.
 * :mod:`repro.validate.perturb` — a race detector for the DES: re-runs a
   job under seeded same-timestamp shuffles and asserts the fingerprint
   does not move (a well-formed model is invariant under every legal
@@ -44,6 +51,8 @@ __all__ = [
     "InvariantViolation",
     # lazy (see __getattr__):
     "fingerprint",
+    "fingerprint_diff",
+    "first_trace_diff",
     "golden_cases",
     "record_diff",
     "regenerate",
@@ -59,6 +68,8 @@ __all__ = [
 
 _LAZY = {
     "fingerprint": "repro.validate.golden",
+    "fingerprint_diff": "repro.validate.golden",
+    "first_trace_diff": "repro.validate.golden",
     "golden_cases": "repro.validate.golden",
     "record_diff": "repro.validate.golden",
     "regenerate": "repro.validate.golden",

@@ -8,12 +8,19 @@ is exact — two fingerprints are equal iff the results are bit-identical
 — and cross-platform, since the pricing model is pure IEEE-754 double
 arithmetic with no platform-dependent libm calls in the hashed fields.
 
+Every check in :mod:`repro.validate` decides "do these two runs agree,
+and if not, where?" with one function, :func:`fingerprint_diff`: it
+compares two fingerprints and returns one failure line — the check's
+label, both digest prefixes, the first differing canonical-record field
+(:func:`record_diff`) and, given the two runs' traces, the first
+differing trace record (:func:`first_trace_diff`) — or ``None`` when
+they agree.  The checks collect those lines: an empty list is a pass.
+
 The golden corpus lives in ``tests/golden/`` as one JSON file per
 (benchmark, cluster, scale) case: all nine Table 1 benchmarks × both
-clusters at 1-node and 4-node scale.  ``tests/test_golden.py`` replays
-every case and compares digests; on mismatch, :func:`record_diff` names
-the first field that moved, so "a golden changed" comes with "and here
-is exactly what changed".
+clusters at 1-node and 4-node scale.  :func:`check_case` holds a run to
+its checked-in point, so "a golden changed" comes with "and here is
+exactly what changed".
 
 Regeneration (``repro validate --regen``) refuses to run on a dirty git
 tree: a golden update must be attributable to exactly one commit's code
@@ -26,7 +33,7 @@ import json
 import os
 import subprocess
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Union
 
 from repro.harness.results import RunResult
 from repro.machine.registry import get_cluster
@@ -167,6 +174,78 @@ def record_diff(a: dict[str, Any], b: dict[str, Any]) -> Optional[str]:
     return walk(a, b, "record")
 
 
+def first_trace_diff(a: Any, b: Any) -> Optional[str]:
+    """First differing record between two full traces, or ``None``.
+
+    Per rank, intervals are recorded in program order and a rank's
+    program is deterministic, so sorting by (rank, t0, t1, kind) gives
+    the same sequence for every legal schedule of a well-formed model:
+    the comparison is rank-major and schedule-independent.
+    """
+    ea = sorted((iv.rank, iv.t0, iv.t1, iv.kind) for iv in a.intervals)
+    eb = sorted((iv.rank, iv.t0, iv.t1, iv.kind) for iv in b.intervals)
+    for i, (x, y) in enumerate(zip(ea, eb)):
+        if x != y:
+            return (
+                f"#{i}: rank={x[0]} t0={x[1]:.9g} t1={x[2]:.9g} kind={x[3]} "
+                f"vs rank={y[0]} t0={y[1]:.9g} t1={y[2]:.9g} kind={y[3]}"
+            )
+    if len(ea) != len(eb):
+        return f"#{min(len(ea), len(eb))}: {len(ea)} vs {len(eb)} records"
+    return None
+
+
+def fingerprint_diff(
+    label: str,
+    expected: Fingerprint,
+    actual: Fingerprint,
+    traces: Union[tuple, Callable[[], tuple], None] = None,
+) -> Optional[str]:
+    """The one comparison of two runs: ``None`` if they agree, else one
+    failure line ``"<label>: expected <digest>…, got <digest>…; first
+    difference: <field>[; first differing trace record: <record>]"``.
+
+    ``traces`` — an ``(expected, actual)`` pair of traces, or a
+    zero-argument callable returning one — localizes a mismatch to a
+    trace record.  A pair already run is always compared, so
+    fingerprint-equal runs whose timelines differ fail too (compensating
+    errors can cancel in the aggregates).  A callable is called only on
+    a fingerprint mismatch: the replay with traces that diagnoses it
+    costs engine runs a match does not need.
+    """
+    if expected == actual:
+        if traces is None or callable(traces):
+            return None
+        trace_diff = first_trace_diff(*traces)
+        if trace_diff is None:
+            return None
+        field = "none (aggregates equal, timelines differ)"
+    else:
+        field = record_diff(expected.record, actual.record) or "digest only"
+        if callable(traces):
+            traces = traces()
+        trace_diff = first_trace_diff(*traces) if traces else None
+    line = (
+        f"{label}: expected {expected.digest[:16]}…, got "
+        f"{actual.digest[:16]}…; first difference: {field}"
+    )
+    if trace_diff:
+        line += f"; first differing trace record: {trace_diff}"
+    return line
+
+
+def named_job(check: str, benchmark: str, cluster: str,
+              nprocs: Optional[int] = None):
+    """-> ``(Benchmark, ClusterSpec, label)`` for a check of one job
+    named by benchmark and cluster; ``label`` heads the check's failure
+    lines."""
+    bench, clus = get_benchmark(benchmark), get_cluster(cluster)
+    label = f"{check} {bench.name} on {clus.name}"
+    if nprocs is not None:
+        label += f" nprocs={nprocs}"
+    return bench, clus, label
+
+
 # --- the golden corpus -------------------------------------------------------
 
 
@@ -237,21 +316,22 @@ def load_fingerprint(golden_dir: str, case: GoldenCase) -> Fingerprint:
     return Fingerprint(digest=doc["digest"], record=doc["record"])
 
 
-def check_case(golden_dir: str, case: GoldenCase) -> Optional[str]:
-    """Re-run one case against its checked-in golden.
-
-    Returns ``None`` on a match, or a human-readable mismatch message
-    naming the first differing canonical-record field.
-    """
-    expected = load_fingerprint(golden_dir, case)
-    actual = compute_fingerprint(case)
-    if actual.digest == expected.digest:
-        return None
-    diff = record_diff(expected.record, actual.record)
-    return (
-        f"{case.slug}: fingerprint {actual.digest[:16]}… != golden "
-        f"{expected.digest[:16]}…; first difference: {diff}"
-    )
+def check_case(
+    golden_dir: str, case: GoldenCase, actual: Fingerprint
+) -> list[str]:
+    """Hold ``actual`` to the checked-in golden point of ``case``;
+    ``[]`` on a match.  A point missing from ``golden_dir`` is a
+    failure line too."""
+    label = f"golden {case.slug}"
+    try:
+        expected = load_fingerprint(golden_dir, case)
+    except FileNotFoundError:
+        return [
+            f"{label}: no checked-in fingerprint in {golden_dir} "
+            "(run `repro validate --regen`)"
+        ]
+    line = fingerprint_diff(label, expected, actual)
+    return [line] if line else []
 
 
 # --- regeneration ------------------------------------------------------------

@@ -18,170 +18,58 @@ asserts the result fingerprint never moves.  Per-channel FIFO order,
 posted-receive order, and cross-time causality are never perturbed —
 only orders MPI itself leaves open.
 
-On divergence the offending seed is replayed with full traces and the
-report pinpoints the first event (rank, time, kind) that differs from
-the baseline timeline.
+On divergence the offending seed is replayed with full traces, and the
+failure line (:func:`repro.validate.golden.fingerprint_diff`) names the
+seed, the first differing record field and the first trace record
+(rank, time, kind) that differs from the baseline timeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Optional
 
-from repro.machine.cluster import ClusterSpec
-from repro.spechpc.base import Benchmark
-from repro.validate.golden import Fingerprint, fingerprint, record_diff
-
-
-@dataclass(frozen=True)
-class Divergence:
-    """One perturbation seed under which the fingerprint moved."""
-
-    seed: int
-    #: first differing canonical-record field ("path: a != b")
-    field: str
-    #: first differing trace event, or None if the timelines agree to
-    #: the end (the divergence is then aggregate-only, e.g. energy)
-    first_event: Optional[str]
-
-    def summary(self) -> str:
-        msg = f"seed {self.seed}: {self.field}"
-        if self.first_event:
-            msg += f"; first diverging event: {self.first_event}"
-        return msg
-
-
-@dataclass(frozen=True)
-class SanitizerReport:
-    """Outcome of one sanitizer sweep over a job."""
-
-    benchmark: str
-    cluster: str
-    nprocs: int
-    suite: str
-    shuffles: int
-    baseline_digest: str
-    divergences: tuple[Divergence, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def summary(self) -> str:
-        head = (
-            f"{self.benchmark} on {self.cluster} nprocs={self.nprocs}: "
-            f"{self.shuffles} shuffle(s)"
-        )
-        if self.ok:
-            return f"{head} — invariant"
-        lines = [f"{head} — {len(self.divergences)} DIVERGENCE(S)"]
-        lines += ["  " + d.summary() for d in self.divergences]
-        return "\n".join(lines)
-
-
-def _canonical_events(trace: Any) -> list[tuple]:
-    """Trace intervals in a schedule-independent order.
-
-    Per rank, intervals are recorded in program order and a rank's
-    program is deterministic, so sorting by (rank, t0, t1, kind) yields
-    the same sequence for every legal schedule of a well-formed model.
-    """
-    return sorted(
-        (iv.rank, iv.t0, iv.t1, iv.kind) for iv in trace.intervals
-    )
-
-
-def _first_event_diff(base: Any, pert: Any) -> Optional[str]:
-    a, b = _canonical_events(base), _canonical_events(pert)
-    for i, (ea, eb) in enumerate(zip(a, b)):
-        if ea != eb:
-            return (
-                f"event #{i}: baseline rank={ea[0]} t0={ea[1]:.9g} "
-                f"t1={ea[2]:.9g} kind={ea[3]} vs perturbed rank={eb[0]} "
-                f"t0={eb[1]:.9g} t1={eb[2]:.9g} kind={eb[3]}"
-            )
-    if len(a) != len(b):
-        return (
-            f"event #{min(len(a), len(b))}: timelines have {len(a)} vs "
-            f"{len(b)} events"
-        )
-    return None
+from repro.validate.golden import fingerprint, fingerprint_diff, named_job
 
 
 def sanitize(
-    benchmark: Union[str, Benchmark],
-    cluster: Union[str, ClusterSpec],
+    benchmark: str,
+    cluster: str,
     nprocs: int,
     suite: str = "tiny",
     shuffles: int = 20,
     base_seed: int = 1,
     sim_steps: Optional[int] = None,
-) -> SanitizerReport:
-    """Assert fingerprint invariance under ``shuffles`` seeded schedule
-    perturbations (seeds ``base_seed .. base_seed+shuffles-1``).
+) -> list[str]:
+    """Require fingerprint invariance under ``shuffles`` seeded schedule
+    perturbations (seeds ``base_seed .. base_seed+shuffles-1``); returns
+    one failure line per diverging seed (empty = invariant).
 
     The baseline is the default-flag run — so this simultaneously checks
     that the perturbed configuration (which forces the pure-heap engine
     and full fidelity) agrees with the production fast paths.
     """
     from repro.harness.runner import run  # lazy: harness imports us
-    from repro.machine.registry import get_cluster
-    from repro.spechpc.suite import get_benchmark
 
     if shuffles < 1:
         raise ValueError(f"shuffles must be >= 1 (got {shuffles})")
-    bench = get_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
-    clus = get_cluster(cluster) if isinstance(cluster, str) else cluster
+    bench, clus, label = named_job("perturb", benchmark, cluster, nprocs)
+    job = dict(suite=suite, sim_steps=sim_steps)
+    baseline = fingerprint(run(bench, clus, nprocs, **job))
 
-    baseline = run(bench, clus, nprocs, suite=suite, sim_steps=sim_steps)
-    base_fp = fingerprint(baseline)
-
-    divergences: list[Divergence] = []
-    for seed in range(base_seed, base_seed + shuffles):
-        perturbed = run(
-            bench, clus, nprocs, suite=suite, sim_steps=sim_steps,
-            perturb_seed=seed,
-        )
-        pert_fp = fingerprint(perturbed)
-        if pert_fp == base_fp:
-            continue
-        divergences.append(
-            _diagnose(bench, clus, nprocs, suite, sim_steps, seed,
-                      base_fp, pert_fp)
+    def traced(seed: int):
+        """Replay the baseline and a diverging seed with full traces."""
+        return (
+            run(bench, clus, nprocs, **job, trace=True).trace,
+            run(bench, clus, nprocs, **job, trace=True,
+                perturb_seed=seed).trace,
         )
 
-    return SanitizerReport(
-        benchmark=bench.name,
-        cluster=clus.name,
-        nprocs=nprocs,
-        suite=suite,
-        shuffles=shuffles,
-        baseline_digest=base_fp.digest,
-        divergences=tuple(divergences),
-    )
-
-
-def _diagnose(
-    bench: Benchmark,
-    clus: ClusterSpec,
-    nprocs: int,
-    suite: str,
-    sim_steps: Optional[int],
-    seed: int,
-    base_fp: Fingerprint,
-    pert_fp: Fingerprint,
-) -> Divergence:
-    """Replay a diverging seed with traces and localize the first
-    differing event."""
-    from repro.harness.runner import run
-
-    field = record_diff(base_fp.record, pert_fp.record) or "<digest only>"
-    traced_base = run(
-        bench, clus, nprocs, suite=suite, sim_steps=sim_steps, trace=True
-    )
-    traced_pert = run(
-        bench, clus, nprocs, suite=suite, sim_steps=sim_steps, trace=True,
-        perturb_seed=seed,
-    )
-    first = _first_event_diff(traced_base.trace, traced_pert.trace)
-    return Divergence(seed=seed, field=field, first_event=first)
+    lines = [
+        fingerprint_diff(
+            f"{label} seed {seed}", baseline,
+            fingerprint(run(bench, clus, nprocs, **job, perturb_seed=seed)),
+            lambda seed=seed: traced(seed),
+        )
+        for seed in range(base_seed, base_seed + shuffles)
+    ]
+    return [line for line in lines if line]

@@ -24,7 +24,8 @@ configuration, it must not *change* it.  Two checks enforce that:
   digest, suite, fault digest and benchmark, and refuse a segmented
   plan alike.
 
-Both return human-readable failure strings, empty when green — the CLI
+Both return failure lines, empty when green — the run comparisons are
+:func:`repro.validate.golden.fingerprint_diff` lines — and the CLI
 surfaces them via ``repro validate --scenarios``.
 """
 
@@ -101,34 +102,30 @@ def scenario_differential(nprocs: int = 8) -> list[str]:
     )
     from repro.scenarios.zoo import cluster_to_dict
     from repro.spechpc.suite import get_benchmark
-    from repro.validate.golden import fingerprint
+    from repro.validate.golden import fingerprint, fingerprint_diff
 
-    failures: list[str] = []
     bench = get_benchmark("lbm")
     baseline = fingerprint(run(bench, CLUSTER_A, nprocs))
+    lines = []
 
     # 1. zoo reference vs registry cluster
-    zoo = fingerprint(run_scenario(
-        load_scenario("zoo/icelake"), nprocs, benchmark="lbm"
+    lines.append(fingerprint_diff(
+        "scenario zoo/icelake vs the inline ClusterA run", baseline,
+        fingerprint(run_scenario(
+            load_scenario("zoo/icelake"), nprocs, benchmark="lbm"
+        )),
     ))
-    if zoo != baseline:
-        failures.append(
-            "scenario zoo/icelake: run differs from the inline ClusterA run "
-            f"({zoo.digest[:12]} != {baseline.digest[:12]})"
-        )
 
     # 2. inline cluster_spec vs its source registry object
     inline = Scenario(
         name="inline-icelake", cluster_spec=cluster_to_dict(CLUSTER_A)
     )
-    got = fingerprint(run_scenario(inline, nprocs, benchmark="lbm"))
-    if got != baseline:
-        failures.append(
-            "scenario inline cluster_spec: run differs from the registry "
-            f"run ({got.digest[:12]} != {baseline.digest[:12]})"
-        )
+    lines.append(fingerprint_diff(
+        "scenario inline cluster_spec vs the registry run", baseline,
+        fingerprint(run_scenario(inline, nprocs, benchmark="lbm")),
+    ))
     if inline.digest != Scenario(name="ref", cluster="zoo/icelake").digest:
-        failures.append(
+        lines.append(
             "scenario digest: inline cluster_spec and zoo/icelake disagree "
             "despite identical parameters"
         )
@@ -139,24 +136,20 @@ def scenario_differential(nprocs: int = 8) -> list[str]:
         name="nominal-plan", cluster="A",
         frequency=FrequencyPlan.fixed(nominal),
     )
-    got = fingerprint(run_scenario(nom, nprocs, benchmark="lbm"))
-    if got != baseline:
-        failures.append(
-            "scenario nominal-frequency plan: run differs from the "
-            f"plan-free run ({got.digest[:12]} != {baseline.digest[:12]})"
-        )
+    lines.append(fingerprint_diff(
+        "scenario nominal-frequency plan vs the plan-free run", baseline,
+        fingerprint(run_scenario(nom, nprocs, benchmark="lbm")),
+    ))
 
     # 4. clocked library scenario vs apply_frequency by hand
     lib = load_scenario("dvfs_lbm_clockdown")
     want = fingerprint(run(
         bench, apply_frequency(CLUSTER_A, lib.frequency.frequency_hz), nprocs
     ))
-    got = fingerprint(run_scenario(lib, nprocs))
-    if got != want:
-        failures.append(
-            "scenario dvfs_lbm_clockdown: run differs from the "
-            f"apply_frequency run ({got.digest[:12]} != {want.digest[:12]})"
-        )
+    lines.append(fingerprint_diff(
+        "scenario dvfs_lbm_clockdown vs the apply_frequency run", want,
+        fingerprint(run_scenario(lib, nprocs)),
+    ))
 
     # 5. segmented plan: every segment == a standalone fixed run
     plan = FrequencyPlan((
@@ -171,14 +164,11 @@ def scenario_differential(nprocs: int = 8) -> list[str]:
         want = fingerprint(run(
             bench, apply_frequency(CLUSTER_A, frequency), nprocs, sim_steps=n
         ))
-        got = fingerprint(result)
-        if got != want:
-            failures.append(
-                f"segmented plan: the {frequency / 1e9:g} GHz segment "
-                f"({n} steps) differs from a standalone fixed run "
-                f"({got.digest[:12]} != {want.digest[:12]})"
-            )
-    return failures + _front_end_agreement()
+        lines.append(fingerprint_diff(
+            f"scenario segmented plan, {frequency / 1e9:g} GHz segment ({n} "
+            "steps) vs a standalone fixed run", want, fingerprint(result),
+        ))
+    return [line for line in lines if line] + _front_end_agreement()
 
 
 def _front_end_agreement() -> list[str]:

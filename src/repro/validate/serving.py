@@ -51,6 +51,7 @@ def serving_differential(
     from repro.validate.golden import (
         GOLDEN_DIR,
         fingerprint,
+        fingerprint_diff,
         golden_cases,
         run_case,
     )
@@ -78,7 +79,8 @@ def serving_differential(
                 "suite": case.suite,
             }
             direct = run_case(case)
-            expected = fingerprint(direct).digest
+            direct_fp = fingerprint(direct)
+            expected = direct_fp.digest
 
             # --- path 1: cold DES ------------------------------------
             runs_before = engine_run_count()
@@ -94,13 +96,12 @@ def serving_differential(
                     f"{str(cold.fingerprint)[:16]}… != direct "
                     f"{expected[:16]}… on the cold path"
                 )
-            rebuilt = fingerprint(cold.result()).digest
-            if rebuilt != expected:
-                failures.append(
-                    f"{case.slug}: result reconstructed from the response "
-                    f"re-fingerprints to {rebuilt[:16]}… != {expected[:16]}… "
-                    "(lossy serialization)"
-                )
+            rebuilt = fingerprint_diff(
+                f"{case.slug} result rebuilt from the response", direct_fp,
+                fingerprint(cold.result()),
+            )
+            if rebuilt:
+                failures.append(rebuilt)
 
             # --- path 2: cache hit -----------------------------------
             runs_cold = engine_run_count()

@@ -121,6 +121,27 @@ def test_fingerprint_is_stable_and_sensitive():
     assert diff is not None and diff.startswith("record.elapsed")
 
 
+def test_check_case_names_the_first_moved_field():
+    import dataclasses
+
+    case = CASES_1NODE[0]
+    result = _run(case)[0]
+    assert G.check_case(GOLDEN_DIR, case, G.fingerprint(result)) == []
+    moved = dataclasses.replace(result, elapsed=result.elapsed * (1 + 1e-15))
+    [line] = G.check_case(GOLDEN_DIR, case, G.fingerprint(moved))
+    expected = G.load_fingerprint(GOLDEN_DIR, case).digest
+    assert line.startswith(
+        f"golden {case.slug}: expected {expected[:16]}…, got "
+    )
+    assert "first difference: record.elapsed" in line
+
+
+def test_check_case_reports_a_missing_point(tmp_path):
+    case = CASES_1NODE[0]
+    [line] = G.check_case(str(tmp_path), case, G.fingerprint(_run(case)[0]))
+    assert line.startswith(f"golden {case.slug}: no checked-in fingerprint")
+
+
 def test_record_diff_localizes_first_field():
     a = {"x": {"y": ["0x1.0p+0", "0x1.8p+1"]}, "z": 1}
     b = {"x": {"y": ["0x1.0p+0", "0x1.9p+1"]}, "z": 1}

@@ -242,6 +242,26 @@ def test_predict_endpoint_rejects_unpriceable_specs(served):
     assert "DES-only" in err.value.message
 
 
+@pytest.mark.parametrize(
+    ("spec", "reason"),
+    [
+        ({"benchmark": "lbm", "cluster": "A", "sim_steps": 3},
+         "DES-only axes"),
+        ({"benchmark": "lbm", "scenario": "zoo/cascadelake"},
+         "machine 'Cascadelake' is not calibrated"),
+    ],
+    ids=["des-only-axes", "uncalibrated-machine"],
+)
+def test_predict_endpoint_names_why_it_refuses(served, spec, reason):
+    _, client = served
+    before = engine_run_count()
+    with pytest.raises(ServeError) as err:
+        client.predict(spec)
+    assert err.value.status == 400
+    assert reason in err.value.message
+    assert engine_run_count() == before
+
+
 def test_predict_endpoint_rejects_unknown_tier(served):
     _, client = served
     with pytest.raises(ServeError) as err:

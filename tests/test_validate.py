@@ -1,7 +1,17 @@
 """Tests for the validation subsystem: perturbation sanitizer,
-cross-mode differential runner, and inline MPI invariants."""
+cross-mode differential runner, executor and observability
+differentials, and inline MPI invariants.
 
+Every check returns failure lines (empty = pass).  The planted-mismatch
+tests wrap the engine entry point so that one mode, seed, path or
+backend returns a perturbed result, and hold the failure line to its
+shape: the check's label, the first differing record field and, where
+traces ran, the first differing trace record."""
+
+import dataclasses
+import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,9 +26,65 @@ from repro.validate.differential import (
     differential_run,
     flag_matrix,
 )
-from repro.validate.golden import fingerprint
+from repro.validate.golden import (
+    Fingerprint,
+    fingerprint,
+    fingerprint_diff,
+    first_trace_diff,
+)
 from repro.validate.invariants import InvariantChecker, InvariantViolation
-from repro.validate.perturb import _first_event_diff, sanitize
+from repro.validate.perturb import sanitize
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+# --- planted mismatches ------------------------------------------------------
+
+
+def _plant(result, elapsed=True, timeline=True):
+    """``result`` with its elapsed time moved (unless ``elapsed=False``)
+    and, when traced, the end of its last trace interval moved (unless
+    ``timeline=False``)."""
+    if elapsed:
+        result = dataclasses.replace(
+            result, elapsed=result.elapsed * (1 + 1e-9)
+        )
+    if timeline and result.trace is not None:
+        ivs = list(result.trace.intervals)
+        ivs[-1] = dataclasses.replace(ivs[-1], t1=ivs[-1].t1 + 1e-3)
+        result = dataclasses.replace(
+            result, trace=SimpleNamespace(intervals=tuple(ivs))
+        )
+    return result
+
+
+def _spy_runs(monkeypatch, plant=lambda kwargs: False, **planted):
+    """Record every ``runner.run`` call as ``(kwargs, result)``; a call
+    whose keyword arguments satisfy ``plant`` returns a planted result
+    (``planted`` goes to :func:`_plant`)."""
+    import repro.harness.runner as runner_mod
+
+    real_run = runner_mod.run
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        if plant(kwargs):
+            result = _plant(result, **planted)
+        calls.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(runner_mod, "run", spy)
+    return calls
+
+
+def _traced(calls):
+    return [result for kwargs, result in calls if kwargs.get("trace")]
+
+
+def _indexed_noff(kwargs):
+    return (kwargs.get("matcher") == "indexed"
+            and not kwargs["fast_forward"] and not kwargs["wavefront"])
 
 
 # --- the perturbation hooks actually perturb --------------------------------
@@ -121,14 +187,32 @@ def test_mailbox_shuffle_respects_arrival_time():
 # --- sanitizer ---------------------------------------------------------------
 
 
-def test_sanitize_clean_benchmark_is_invariant():
-    rep = sanitize("lbm", "A", 8, shuffles=5)
-    assert rep.ok
-    assert rep.shuffles == 5
-    assert "invariant" in rep.summary()
-    # the baseline is the production configuration
+def test_sanitize_clean_benchmark_is_invariant(monkeypatch):
+    calls = _spy_runs(monkeypatch)
+    assert sanitize("lbm", "A", 8, shuffles=5) == []
+    # the production baseline, one run per seed, no traced replay
+    assert [kw.get("perturb_seed") for kw, _ in calls] == [None, 1, 2, 3, 4, 5]
+    assert not _traced(calls)
     base = run(get_benchmark("lbm"), get_cluster("A"), 8)
-    assert fingerprint(base).digest == rep.baseline_digest
+    assert fingerprint(base) == fingerprint(calls[0][1])
+
+
+def test_sanitize_reports_planted_divergence(monkeypatch):
+    calls = _spy_runs(monkeypatch, lambda kw: kw.get("perturb_seed") == 2)
+    lines = sanitize("lbm", "A", 4, shuffles=3)
+    # only the diverging seed is replayed with traces
+    traced = [kw.get("perturb_seed") for kw, _ in calls if kw.get("trace")]
+    assert traced == [None, 2]
+    base_trace, pert_trace = (r.trace for r in _traced(calls))
+    [line] = lines
+    assert line.startswith(
+        "perturb lbm on ClusterA nprocs=4 seed 2: expected "
+    )
+    assert "first difference: record.elapsed" in line
+    assert line.endswith(
+        "first differing trace record: "
+        + first_trace_diff(base_trace, pert_trace)
+    )
 
 
 def test_perturbed_run_is_full_fidelity():
@@ -148,11 +232,29 @@ def test_first_event_diff_reports_rank_and_time():
 
     a = FakeTrace([IV(0, 0.0, 1.0, "compute"), IV(1, 0.0, 2.0, "MPI_Wait")])
     b = FakeTrace([IV(0, 0.0, 1.0, "compute"), IV(1, 0.0, 2.5, "MPI_Wait")])
-    msg = _first_event_diff(a, b)
+    msg = first_trace_diff(a, b)
+    assert msg.startswith("#1: ")
     assert "rank=1" in msg and "2.5" in msg
-    assert _first_event_diff(a, a) is None
+    assert first_trace_diff(a, a) is None
     short = FakeTrace([IV(0, 0.0, 1.0, "compute")])
-    assert "1 vs 2" in _first_event_diff(short, a)
+    assert "1 vs 2" in first_trace_diff(short, a)
+
+
+def test_fingerprint_diff_line_shape():
+    a = Fingerprint(digest="a" * 64, record={"x": "0x1.0p+0"})
+    b = Fingerprint(digest="b" * 64, record={"x": "0x1.8p+0"})
+
+    def no_replay():
+        raise AssertionError("traced replay on a match")
+
+    assert fingerprint_diff("lbl", a, a) is None
+    assert fingerprint_diff("lbl", a, a, no_replay) is None
+    line = fingerprint_diff("lbl", a, b)
+    assert line.startswith(
+        f"lbl: expected {'a' * 16}…, got {'b' * 16}…; first difference: "
+        "record.x: '0x1.0p+0' != '0x1.8p+0'"
+    )
+    assert "trace" not in line
 
 
 def test_sanitize_rejects_bad_args():
@@ -183,19 +285,130 @@ def test_flag_matrix_shape():
     }) == 4
 
 
-def test_differential_run_conformant():
-    rep = differential_run("soma", "A", 8, workers=False)
-    assert rep.ok
-    assert rep.modes == 6
-    assert "conformant" in rep.summary()
+def test_differential_run_conformant(monkeypatch):
+    calls = _spy_runs(monkeypatch)
+    assert differential_run("soma", "A", 8, workers=False) == []
+    # the 6-mode matrix, then the 2 replay-off modes traced
+    assert len(calls) == 8
+    assert len({Mode(kw["matcher"], kw["fast_forward"], kw["wavefront"])
+                for kw, _ in calls}) == 6
+    assert len(_traced(calls)) == 2
 
 
-def test_differential_run_workers_axis():
-    rep = differential_run(
-        "lbm", "A", 4, trace_diff=False, workers=True
+def _spy_run_many(monkeypatch, plant_index=None):
+    """Record every ``run_many`` call; plant result ``plant_index`` of
+    the last call."""
+    import repro.harness.parallel as parallel_mod
+
+    real_run_many = parallel_mod.run_many
+    calls = []
+
+    def spy(specs, **kwargs):
+        results = list(real_run_many(specs, **kwargs))
+        calls.append((specs, kwargs))
+        if plant_index is not None and len(calls) > 1:
+            results[plant_index] = _plant(results[plant_index])
+        return results
+
+    monkeypatch.setattr(parallel_mod, "run_many", spy)
+    return calls
+
+
+def test_differential_run_workers_axis(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    sweeps = _spy_run_many(monkeypatch)
+    assert differential_run("lbm", "A", 4, trace_diff=False,
+                            workers=True) == []
+    # 6 engine modes + the workers=2 sweep of the production flags
+    assert len(runs) == 6 and not _traced(runs)
+    [(specs, kwargs)] = sweeps
+    assert len(specs) == 2 and kwargs == {"workers": 2}
+
+
+def test_differential_run_reports_planted_workers_mismatch(monkeypatch):
+    import repro.harness.parallel as parallel_mod
+
+    real_run_many = parallel_mod.run_many
+
+    def planted(specs, **kwargs):
+        results = list(real_run_many(specs, **kwargs))
+        results[1] = _plant(results[1])
+        return results
+
+    monkeypatch.setattr(parallel_mod, "run_many", planted)
+    [line] = differential_run("lbm", "A", 4, trace_diff=False, workers=True)
+    assert line.startswith(
+        "differential lbm on ClusterA nprocs=4 workers=2[1]: expected "
     )
-    assert rep.ok
-    assert rep.modes == 7  # 6 engine modes + the workers=2 sweep
+    assert "first difference: record.elapsed" in line
+
+
+@pytest.mark.parametrize("elapsed", [True, False],
+                         ids=["aggregates", "timeline-only"])
+def test_differential_run_reports_planted_mode_mismatch(monkeypatch, elapsed):
+    calls = _spy_runs(monkeypatch, _indexed_noff, elapsed=elapsed)
+    lines = differential_run("lbm", "A", 4, workers=False)
+    ref_trace, planted_trace = (r.trace for r in _traced(calls))
+    [line] = lines
+    assert line.startswith(
+        "differential lbm on ClusterA nprocs=4 indexed+noff: expected "
+    )
+    field = ("record.elapsed" if elapsed
+             else "none (aggregates equal, timelines differ)")
+    assert f"first difference: {field}" in line
+    assert line.endswith(
+        "first differing trace record: "
+        + first_trace_diff(ref_trace, planted_trace)
+    )
+
+
+# --- observability and executor differentials --------------------------------
+
+
+def test_observability_differential_reports_planted_mismatch(monkeypatch):
+    from repro.validate import observability_differential
+
+    _spy_runs(monkeypatch, lambda kw: bool(kw.get("trace")), timeline=False)
+    lines = observability_differential("lbm", "A", 72, golden_dir=GOLDEN_DIR)
+    head = "observability lbm on ClusterA nprocs=72 traced vs"
+    assert [line.split(":")[0] for line in lines] == [
+        f"{head} plain", f"{head} golden lbm_A_1node"
+    ]
+    assert all("first difference: record.elapsed" in line for line in lines)
+
+
+def test_executor_differential_reports_planted_mismatch(monkeypatch):
+    from repro.validate import executor_differential
+
+    calls = _spy_run_many(monkeypatch, plant_index=1)
+    [line] = executor_differential(executors=("serial",))
+    # the serial reference, then the one backend under test
+    assert [kwargs.get("executor") for _, kwargs in calls] == ["serial"] * 2
+    assert line.startswith(
+        "executor lbm on ClusterA serial nprocs=2 seed=2000: expected "
+    )
+    assert "first difference: record.elapsed" in line
+
+
+def test_scenario_differential_reports_planted_mismatch(monkeypatch):
+    import repro.scenarios as scenarios_mod
+    import repro.validate.scenario as scenario_mod
+
+    real_run_scenario = scenarios_mod.run_scenario
+
+    def planted(scenario, *args, **kwargs):
+        result = real_run_scenario(scenario, *args, **kwargs)
+        if scenario.name == "inline-icelake":
+            result = _plant(result)
+        return result
+
+    monkeypatch.setattr(scenarios_mod, "run_scenario", planted)
+    monkeypatch.setattr(scenario_mod, "_front_end_agreement", lambda: [])
+    [line] = scenario_mod.scenario_differential()
+    assert line.startswith(
+        "scenario inline cluster_spec vs the registry run: expected "
+    )
+    assert "first difference: record.elapsed" in line
 
 
 @pytest.mark.parametrize(
@@ -230,8 +443,7 @@ def test_differential_default_engages_replay_tiers(
         return result
 
     monkeypatch.setattr(runner_mod, "run", spy)
-    rep = differential_run(bench_name, "A", 8, workers=False)
-    assert rep.ok
+    assert differential_run(bench_name, "A", 8, workers=False) == []
     assert len(seen) == 6
     assert {label for label, on in seen.items() if on} == engaged
 
